@@ -19,7 +19,9 @@
  *
  * With --checkpoint FILE the runner resumes completed tasks from a
  * previous interrupted run and re-saves the checkpoint after every
- * finished task, so long sweeps survive preemption.
+ * finished task, so long sweeps survive preemption. A checkpoint that
+ * exists but is rejected (corrupt, or written by an older version) is
+ * reported on stderr and the run starts fresh.
  *
  * Run: ./campaign_runner [spec-file] [--threads N] [--json FILE]
  *      [--csv FILE] [--checkpoint FILE] [--quiet]
@@ -45,9 +47,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <sys/wait.h>
@@ -91,15 +92,20 @@ usage(const char* prog)
                  prog, prog, prog);
 }
 
-std::string
-readWholeFile(const std::string& path)
+/** One stderr summary line, `[tag] name value ...`, over a table. */
+template <typename T, typename V, size_t N>
+void
+printCounters(const char* tag, const T& obj,
+              const StatField<T, V> (&table)[N])
 {
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot open campaign spec: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
+    std::fprintf(stderr, "[%s]", tag);
+    for (const auto& f : table) {
+        if constexpr (std::is_floating_point_v<V>)
+            std::fprintf(stderr, " %s %.1f", f.name, obj.*f.member);
+        else
+            std::fprintf(stderr, " %s %zu", f.name, obj.*f.member);
+    }
+    std::fprintf(stderr, "\n");
 }
 
 } // namespace
@@ -210,19 +216,10 @@ main(int argc, char** argv)
         opts.promote = promote;
         try {
             const WorkerReport report = runSpoolWorker(opts);
-            if (!quiet)
-                std::fprintf(
-                    stderr,
-                    "[worker] %zu shards, %zu shots, compile "
-                    "store hits %zu / built %zu, dem store hits "
-                    "%zu / built %zu\n",
-                    report.shardsRun, report.shots,
-                    report.cache.compileStoreHits,
-                    report.cache.compileMisses -
-                        report.cache.compileStoreHits,
-                    report.cache.demStoreHits,
-                    report.cache.demMisses -
-                        report.cache.demStoreHits);
+            if (!quiet) {
+                printCounters("worker", report, WorkerReport::kCounters);
+                printCounters("cache", report.cache, CacheStats::kCounters);
+            }
         } catch (const std::exception& ex) {
             std::fprintf(stderr, "worker error: %s\n", ex.what());
             return 1;
@@ -251,7 +248,7 @@ main(int argc, char** argv)
             spec_text = spool.readSpecText();
         } else {
             spec_text = spec_path.empty() ? kDemoSpec
-                                          : readWholeFile(spec_path);
+                                          : spoolReadFile(spec_path);
         }
         spec = parseCampaignSpec(spec_text);
     } catch (const std::exception& ex) {
@@ -285,13 +282,20 @@ main(int argc, char** argv)
 
     CampaignCheckpoint checkpoint;
     const CampaignCheckpoint* resume = nullptr;
-    if (!checkpoint_path.empty() &&
-        loadCheckpoint(checkpoint_path, checkpoint)) {
-        resume = &checkpoint;
-        if (!quiet)
-            std::fprintf(stderr, "resuming %zu tasks from %s\n",
-                         checkpoint.tasks.size(),
-                         checkpoint_path.c_str());
+    try {
+        if (!checkpoint_path.empty() &&
+            loadCheckpoint(checkpoint_path, checkpoint)) {
+            resume = &checkpoint;
+            if (!quiet)
+                std::fprintf(stderr, "resuming %zu tasks from %s\n",
+                             checkpoint.tasks.size(),
+                             checkpoint_path.c_str());
+        }
+    } catch (const std::exception& ex) {
+        std::fprintf(stderr,
+                     "warning: ignoring checkpoint %s (%s); starting "
+                     "fresh\n",
+                     checkpoint_path.c_str(), ex.what());
     }
 
     // Incremental checkpointing: re-save after every finished task.
@@ -366,88 +370,38 @@ main(int argc, char** argv)
 
     if (!quiet) {
         BpOsdStats decoder;
-        for (const TaskResult& t : result.tasks) {
-            decoder.decodes += t.decoder.decodes;
-            decoder.trivialShots += t.decoder.trivialShots;
-            decoder.memoHits += t.decoder.memoHits;
-            decoder.bpIterations += t.decoder.bpIterations;
-            decoder.waveGroups += t.decoder.waveGroups;
-            decoder.waveLaneSlots += t.decoder.waveLaneSlots;
-            decoder.waveLanesFilled += t.decoder.waveLanesFilled;
-            decoder.stagedChunks += t.decoder.stagedChunks;
-            if (decoder.backend.empty())
-                decoder.backend = t.decoder.backend;
-        }
+        for (const TaskResult& t : result.tasks)
+            decoder.merge(t.decoder);
         std::fprintf(stderr,
-                     "[%s] %zu tasks, %zu shots, wall %.1fs, compile "
-                     "cache %zu hit / %zu miss (%zu store, %zu B), "
-                     "dem cache %zu hit / %zu miss (%zu store, %zu "
-                     "B), decoder trivial %.1f%% / memo %.1f%% "
-                     "/ mean BP iters %.1f / wave occupancy %.0f%% "
-                     "[backend %s, staged chunks %zu]\n",
+                     "[%s] %zu tasks, %zu shots, wall %.1fs, decoder "
+                     "trivial %.1f%% / memo %.1f%% / mean BP iters "
+                     "%.1f / wave occupancy %.0f%% [backend %s]\n",
                      result.name.c_str(), result.tasks.size(),
                      result.totalShots(), result.wallSeconds,
-                     result.cache.compileHits,
-                     result.cache.compileMisses,
-                     result.cache.compileStoreHits,
-                     result.cache.compileBytes, result.cache.demHits,
-                     result.cache.demMisses,
-                     result.cache.demStoreHits, result.cache.demBytes,
                      100.0 * decoder.trivialFraction(),
                      100.0 * decoder.memoHitRate(),
                      decoder.meanBpIterations(),
                      100.0 * decoder.waveLaneOccupancy(),
-                     decoder.backend.empty() ? "checkpoint"
-                                             : decoder.backend.c_str(),
-                     decoder.stagedChunks);
+                     decoder.backend.empty() ? "none"
+                                             : decoder.backend.c_str());
+        printCounters("cache", result.cache, CacheStats::kCounters);
+        printCounters("decoder", decoder, BpOsdStats::kCounters);
         StreamDecodeStats streaming;
-        size_t streamed_tasks = 0;
+        bool streamed = false;
         for (const TaskResult& t : result.tasks) {
-            if (!t.streamed)
-                continue;
-            ++streamed_tasks;
-            streaming.merge(t.stream);
+            if (t.streamed)
+                streaming.merge(t.stream);
+            streamed = streamed || t.streamed;
         }
-        if (streamed_tasks > 0) {
+        if (streamed) {
             streaming.computePercentiles();
-            std::fprintf(stderr,
-                         "[streaming] %zu tasks, %zu windows, latency "
-                         "p50 %.1fus / p99 %.1fus / p999 %.1fus / max "
-                         "%.1fus, %zu deadline misses (%.2f%%), slab "
-                         "occupancy %.0f%%, flushes %zu full / %zu "
-                         "deadline / %zu final\n",
-                         streamed_tasks, streaming.windows,
-                         streaming.p50Us, streaming.p99Us,
-                         streaming.p999Us, streaming.latencyMaxUs,
-                         streaming.deadlineMisses,
-                         100.0 * streaming.deadlineMissFraction(),
-                         100.0 * streaming.slabOccupancy(),
-                         streaming.flushesFull, streaming.flushesDeadline,
-                         streaming.flushesFinal);
+            printCounters("streaming", streaming,
+                          StreamDecodeStats::kCounters);
+            printCounters("streaming", streaming,
+                          StreamDecodeStats::kScalars);
         }
-        if (!spec.spool.empty()) {
-            std::fprintf(stderr,
-                         "[spool] %zu shards published, %zu merged, "
-                         "%zu reclaimed, %zu records reused, "
-                         "%zu journal restores\n",
-                         result.spool.shardsPublished,
-                         result.spool.shardsMerged,
-                         result.spool.shardsReclaimed,
-                         result.spool.recordsReused,
-                         result.spool.journalRestores);
-            std::fprintf(stderr,
-                         "[spool] health: %zu workers healthy, %zu "
-                         "degraded, %zu lost; %zu takeovers, %zu "
-                         "transient retries, %zu quarantined, %zu "
-                         "poisoned\n",
-                         result.spool.workersHealthy,
-                         result.spool.workersDegraded,
-                         result.spool.workersLost,
-                         result.spool.coordinatorTakeovers,
-                         result.spool.transientRetries,
-                         result.spool.recordsQuarantined,
-                         result.spool.shardsPoisoned);
-        }
+        if (!spec.spool.empty())
+            printCounters("spool", result.spool, SpoolStats::kCounters);
     }
 
     const std::string json = campaignResultToJson(result);

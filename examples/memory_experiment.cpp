@@ -60,13 +60,10 @@ main(int argc, char** argv)
                         t.error.c_str());
             continue;
         }
-        const double conv = t.decoder.decodes > 0
-            ? static_cast<double>(t.decoder.bpConverged) /
-                t.decoder.decodes
-            : 0.0;
         std::printf("%10.1e %12.5f %12.5f %10.5f %11.0f%% %8zu\n",
                     t.physicalError, t.logicalErrorRate.rate, t.wilson,
-                    t.perRoundErrorRate, 100.0 * conv,
+                    t.perRoundErrorRate,
+                    100.0 * t.decoder.bpConvergedFraction(),
                     t.logicalErrorRate.trials);
     }
     std::printf("total %zu shots, wall %.1fs, compile cache %zu/%zu "

@@ -127,6 +127,15 @@ runChunkGroupStreamed(const DetectorErrorModel& dem,
     return outcome;
 }
 
+ChunkOutcome
+ChunkWorker::run(const DetectorErrorModel& dem, const ChunkPlan* plans,
+                 size_t count)
+{
+    return stream ? runChunkGroupStreamed(dem, plans, count, *stream,
+                                          batches)
+                  : runChunkGroup(dem, plans, count, decoder, batches);
+}
+
 AdaptiveSampler::AdaptiveSampler(StoppingRule rule, uint64_t taskSeed)
     : rule_(rule), taskSeed_(taskSeed)
 {
@@ -182,12 +191,6 @@ AdaptiveSampler::evaluateStop()
             stoppedEarly_ = true;
         }
     }
-}
-
-RateEstimate
-AdaptiveSampler::estimate() const
-{
-    return estimateRate(failures_, shots_);
 }
 
 } // namespace cyclone

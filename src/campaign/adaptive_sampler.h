@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "campaign/campaign_spec.h"
@@ -94,6 +95,27 @@ ChunkOutcome runChunkGroupStreamed(const DetectorErrorModel& dem,
                                    StreamDecoder& stream,
                                    std::vector<ShotBatch>& batches);
 
+/**
+ * One pool thread's decode state for a task: the decoder, reusable
+ * shot buffers (one per staged chunk) and, for streamed tasks, the
+ * streaming front-end wrapping the same decoder.
+ */
+struct ChunkWorker
+{
+    BpOsdDecoder decoder;
+    std::vector<ShotBatch> batches;
+    std::unique_ptr<StreamDecoder> stream;
+
+    ChunkWorker(const DetectorErrorModel& dem, const BpOptions& bp)
+        : decoder(dem, bp)
+    {}
+
+    /** runChunkGroupStreamed through `stream` if set, else
+     *  runChunkGroup. */
+    ChunkOutcome run(const DetectorErrorModel& dem,
+                     const ChunkPlan* plans, size_t count);
+};
+
 /** Per-task accumulator and stopping-rule evaluator. */
 class AdaptiveSampler
 {
@@ -119,9 +141,6 @@ class AdaptiveSampler
     size_t shots() const { return shots_; }
     size_t failures() const { return failures_; }
     size_t chunksPlanned() const { return nextChunk_; }
-
-    /** Current estimate with Wilson half-width. */
-    RateEstimate estimate() const;
 
   private:
     void evaluateStop();

@@ -482,20 +482,4 @@ ArtifactCache::stats() const
     return stats_;
 }
 
-size_t
-ArtifactCache::entryCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return compiles_.size() + dems_.size();
-}
-
-void
-ArtifactCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    compiles_.clear();
-    dems_.clear();
-    stats_ = CacheStats{};
-}
-
 } // namespace cyclone

@@ -43,6 +43,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/stats.h"
 #include "compiler/compile_result.h"
 #include "dem/dem.h"
 
@@ -68,6 +69,19 @@ struct CacheStats
      *  to <store>/quarantine/ before a local rebuild republished
      *  fresh bytes. */
     size_t quarantinedBlobs = 0;
+
+    /** Every counter, in JSON order. */
+    static constexpr StatField<CacheStats, size_t> kCounters[] = {
+        {"compile_hits", &CacheStats::compileHits},
+        {"compile_misses", &CacheStats::compileMisses},
+        {"dem_hits", &CacheStats::demHits},
+        {"dem_misses", &CacheStats::demMisses},
+        {"compile_store_hits", &CacheStats::compileStoreHits},
+        {"dem_store_hits", &CacheStats::demStoreHits},
+        {"compile_bytes", &CacheStats::compileBytes},
+        {"dem_bytes", &CacheStats::demBytes},
+        {"quarantined", &CacheStats::quarantinedBlobs},
+    };
 };
 
 /**
@@ -125,13 +139,6 @@ class ArtifactCache
 
     /** Snapshot of the accounting counters. */
     CacheStats stats() const;
-
-    /** Number of completed entries in both layers. */
-    size_t entryCount() const;
-
-    /** Drop all in-memory entries and reset the counters (the
-     *  attached store, if any, is left untouched). */
-    void clear();
 
   private:
     template <typename T>

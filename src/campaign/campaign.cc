@@ -24,21 +24,6 @@ namespace cyclone {
 
 namespace {
 
-/** Per-worker sampling context: decoder state plus reusable packed
- *  shot buffers for the batch pipeline (one per staged chunk), and —
- *  for streaming tasks — the worker's streaming front-end wrapping
- *  the same decoder. */
-struct WorkerCtx
-{
-    BpOsdDecoder decoder;
-    std::vector<ShotBatch> batches;
-    std::unique_ptr<StreamDecoder> stream;
-
-    WorkerCtx(const DetectorErrorModel& dem, const BpOptions& bp)
-        : decoder(dem, bp)
-    {}
-};
-
 /**
  * Map a task's StreamSpec onto StreamDecoderOptions. The deadline
  * defaults to one window period — rounds x the task's (compiled or
@@ -69,7 +54,7 @@ struct TaskState
     ResolvedTask rt;
 
     std::optional<AdaptiveSampler> sampler;
-    std::vector<std::unique_ptr<WorkerCtx>> workers;
+    std::vector<std::unique_ptr<ChunkWorker>> workers;
     size_t outstanding = 0;
     double sampleSeconds = 0.0;
     bool resolved = false;
@@ -323,6 +308,22 @@ buildTaskArtifacts(ResolvedTask& rt, ArtifactCache& cache)
     });
 }
 
+TaskResult
+taskResultFor(const ResolvedTask& rt, size_t index)
+{
+    const TaskSpec& t = *rt.spec;
+    TaskResult r;
+    r.id = !t.id.empty() ? t.id : "task" + std::to_string(index);
+    r.codeName = !t.codeName.empty() ? t.codeName : rt.code->name();
+    r.architecture =
+        t.compileLatency ? architectureName(t.architecture) : "explicit";
+    r.physicalError = t.physicalError;
+    r.rounds = rt.rounds;
+    r.xBasis = t.xBasis;
+    r.contentHash = rt.contentHash;
+    return r;
+}
+
 void
 fillResolvedMetadata(TaskResult& r, const ResolvedTask& rt)
 {
@@ -341,6 +342,32 @@ fillResolvedMetadata(TaskResult& r, const ResolvedTask& rt)
     }
 }
 
+void
+setShotCounts(TaskResult& r, size_t failures, size_t shots)
+{
+    r.logicalErrorRate = estimateRate(failures, shots);
+    r.wilson = wilsonHalfWidth(failures, shots);
+    if (r.rounds > 0 && shots > 0) {
+        const double ler =
+            std::min(r.logicalErrorRate.rate, 1.0 - 1e-12);
+        r.perRoundErrorRate =
+            1.0 - std::pow(1.0 - ler, 1.0 / static_cast<double>(r.rounds));
+    }
+}
+
+void
+finalizeTaskResult(TaskResult& r, const ResolvedTask& rt,
+                   const AdaptiveSampler* sampler, double sampleSeconds)
+{
+    if (sampler) {
+        setShotCounts(r, sampler->failures(), sampler->shots());
+        r.chunks = sampler->chunksPlanned();
+        r.stoppedEarly = sampler->stoppedEarly();
+    }
+    fillResolvedMetadata(r, rt);
+    r.sampleSeconds = sampleSeconds;
+}
+
 bool
 applyCheckpoint(TaskResult& r, const CampaignCheckpoint* resume)
 {
@@ -349,20 +376,14 @@ applyCheckpoint(TaskResult& r, const CampaignCheckpoint* resume)
     auto it = resume->tasks.find(r.contentHash);
     if (it == resume->tasks.end())
         return false;
-    const TaskResult& saved = it->second;
-    r.logicalErrorRate = saved.logicalErrorRate;
-    r.wilson = saved.wilson;
-    r.perRoundErrorRate = saved.perRoundErrorRate;
-    r.roundLatencyUs = saved.roundLatencyUs;
-    r.demDetectors = saved.demDetectors;
-    r.demMechanisms = saved.demMechanisms;
-    r.decoder = saved.decoder;
-    r.streamed = saved.streamed;
-    r.stream = saved.stream;
-    r.chunks = saved.chunks;
-    r.stoppedEarly = saved.stoppedEarly;
-    r.sampleSeconds = saved.sampleSeconds;
-    r.fromCheckpoint = true;
+    TaskResult saved = it->second;
+    saved.id = std::move(r.id);
+    saved.codeName = std::move(r.codeName);
+    saved.architecture = std::move(r.architecture);
+    saved.physicalError = r.physicalError;
+    saved.xBasis = r.xBasis;
+    saved.fromCheckpoint = true;
+    r = std::move(saved);
     return true;
 }
 
@@ -392,19 +413,7 @@ CampaignEngine::run(const CampaignSpec& spec,
         TaskState& st = states[i];
         st.rt = std::move(resolved[i]);
         st.workers.resize(pool_.size());
-
-        const TaskSpec& t = spec.tasks[i];
-        TaskResult& r = result.tasks[i];
-        r.id = !t.id.empty() ? t.id : "task" + std::to_string(i);
-        r.codeName =
-            !t.codeName.empty() ? t.codeName : st.rt.code->name();
-        r.architecture = t.compileLatency
-            ? architectureName(t.architecture)
-            : "explicit";
-        r.physicalError = t.physicalError;
-        r.rounds = st.rt.rounds;
-        r.xBasis = t.xBasis;
-        r.contentHash = st.rt.contentHash;
+        result.tasks[i] = taskResultFor(st.rt, i);
     }
 
     EventQueue events;
@@ -414,41 +423,13 @@ CampaignEngine::run(const CampaignSpec& spec,
         TaskState& st = states[i];
         TaskResult& r = result.tasks[i];
         st.finished = true;
-        if (st.sampler) {
-            r.logicalErrorRate = st.sampler->estimate();
-            r.wilson = wilsonHalfWidth(st.sampler->failures(),
-                                       st.sampler->shots());
-            r.chunks = st.sampler->chunksPlanned();
-            r.stoppedEarly = st.sampler->stoppedEarly();
-        }
-        fillResolvedMetadata(r, st.rt);
-        r.sampleSeconds = st.sampleSeconds;
-        if (r.rounds > 0 && r.logicalErrorRate.trials > 0) {
-            const double ler =
-                std::min(r.logicalErrorRate.rate, 1.0 - 1e-12);
-            r.perRoundErrorRate = 1.0 -
-                std::pow(1.0 - ler,
-                         1.0 / static_cast<double>(r.rounds));
-        }
+        finalizeTaskResult(r, st.rt,
+                           st.sampler ? &*st.sampler : nullptr,
+                           st.sampleSeconds);
         for (const auto& ctx : st.workers) {
             if (!ctx)
                 continue;
-            const BpOsdStats& s = ctx->decoder.stats();
-            r.decoder.decodes += s.decodes;
-            r.decoder.bpConverged += s.bpConverged;
-            r.decoder.osdInvocations += s.osdInvocations;
-            r.decoder.osdFailures += s.osdFailures;
-            r.decoder.trivialShots += s.trivialShots;
-            r.decoder.memoHits += s.memoHits;
-            r.decoder.bpIterations += s.bpIterations;
-            r.decoder.waveGroups += s.waveGroups;
-            r.decoder.waveLaneSlots += s.waveLaneSlots;
-            r.decoder.waveLanesFilled += s.waveLanesFilled;
-            r.decoder.osdBatchGroups += s.osdBatchGroups;
-            r.decoder.osdSharedPivots += s.osdSharedPivots;
-            r.decoder.stagedChunks += s.stagedChunks;
-            if (r.decoder.backend.empty())
-                r.decoder.backend = s.backend;
+            r.decoder.merge(ctx->decoder.stats());
             if (ctx->stream) {
                 r.streamed = true;
                 r.stream.merge(ctx->stream->stats());
@@ -490,7 +471,7 @@ CampaignEngine::run(const CampaignSpec& spec,
                                                ? static_cast<size_t>(w)
                                                : 0];
                     if (!ctx) {
-                        ctx = std::make_unique<WorkerCtx>(
+                        ctx = std::make_unique<ChunkWorker>(
                             *st.rt.dem, st.rt.spec->bp);
                         if (st.rt.spec->stream.enabled)
                             ctx->stream =
@@ -499,13 +480,8 @@ CampaignEngine::run(const CampaignSpec& spec,
                                     st.rt.dem->numDetectors,
                                     streamOptionsFor(st.rt));
                     }
-                    e.outcome = ctx->stream
-                        ? runChunkGroupStreamed(
-                              *st.rt.dem, plans.data(), plans.size(),
-                              *ctx->stream, ctx->batches)
-                        : runChunkGroup(*st.rt.dem, plans.data(),
-                                        plans.size(), ctx->decoder,
-                                        ctx->batches);
+                    e.outcome =
+                        ctx->run(*st.rt.dem, plans.data(), plans.size());
                     e.kind = EventKind::ChunkDone;
                 } catch (const std::exception& ex) {
                     e.kind = EventKind::Failed;
@@ -521,22 +497,17 @@ CampaignEngine::run(const CampaignSpec& spec,
         return true;
     };
 
-    // Checkpointed tasks are done before any job launches; the rest
-    // get a resolve job (compile + DEM build through the shared cache).
+    // Checkpointed tasks are done on the spot; the rest get a resolve
+    // job (compile + DEM build through the shared cache).
     for (size_t i = 0; i < n; ++i) {
+        TaskState& st = states[i];
         if (applyCheckpoint(result.tasks[i], resume)) {
-            states[i].finished = true;
+            st.finished = true;
             if (onTaskDone)
                 onTaskDone(result.tasks[i]);
             continue;
         }
         ++remaining;
-    }
-
-    for (size_t i = 0; i < n; ++i) {
-        if (states[i].finished)
-            continue;
-        TaskState& st = states[i];
         pool_.submit([this, &events, &st, i] {
             Event e;
             e.task = i;
@@ -600,18 +571,8 @@ CampaignEngine::run(const CampaignSpec& spec,
     }
 
     const CacheStats after = cache_.stats();
-    result.cache.compileHits = after.compileHits - before.compileHits;
-    result.cache.compileMisses =
-        after.compileMisses - before.compileMisses;
-    result.cache.demHits = after.demHits - before.demHits;
-    result.cache.demMisses = after.demMisses - before.demMisses;
-    result.cache.compileStoreHits =
-        after.compileStoreHits - before.compileStoreHits;
-    result.cache.demStoreHits =
-        after.demStoreHits - before.demStoreHits;
-    result.cache.compileBytes =
-        after.compileBytes - before.compileBytes;
-    result.cache.demBytes = after.demBytes - before.demBytes;
+    for (const auto& c : CacheStats::kCounters)
+        result.cache.*c.member = after.*c.member - before.*c.member;
     result.wallSeconds = elapsedSeconds(t0);
     return result;
 }

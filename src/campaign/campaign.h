@@ -31,6 +31,8 @@
 
 namespace cyclone {
 
+class AdaptiveSampler;
+
 /** Outcome of one campaign task. */
 struct TaskResult
 {
@@ -117,6 +119,22 @@ struct SpoolStats
     size_t workersHealthy = 0;
     size_t workersDegraded = 0;
     size_t workersLost = 0;
+
+    /** Every counter, in JSON order. */
+    static constexpr StatField<SpoolStats, size_t> kCounters[] = {
+        {"shards_published", &SpoolStats::shardsPublished},
+        {"shards_merged", &SpoolStats::shardsMerged},
+        {"shards_reclaimed", &SpoolStats::shardsReclaimed},
+        {"records_reused", &SpoolStats::recordsReused},
+        {"shards_poisoned", &SpoolStats::shardsPoisoned},
+        {"records_quarantined", &SpoolStats::recordsQuarantined},
+        {"transient_retries", &SpoolStats::transientRetries},
+        {"coordinator_takeovers", &SpoolStats::coordinatorTakeovers},
+        {"journal_restores", &SpoolStats::journalRestores},
+        {"workers_healthy", &SpoolStats::workersHealthy},
+        {"workers_degraded", &SpoolStats::workersDegraded},
+        {"workers_lost", &SpoolStats::workersLost},
+    };
 };
 
 /** Outcome of a whole campaign. */
@@ -183,13 +201,37 @@ std::vector<ResolvedTask> resolveTaskIdentities(const CampaignSpec& spec);
  */
 void buildTaskArtifacts(ResolvedTask& task, ArtifactCache& cache);
 
+/**
+ * A result carrying task `index`'s identity (id, code, architecture,
+ * p, rounds, basis, content hash) and nothing else yet.
+ */
+TaskResult taskResultFor(const ResolvedTask& task, size_t index);
+
 /** Copy DEM/compile-derived metadata of a built task into a result. */
 void fillResolvedMetadata(TaskResult& result, const ResolvedTask& task);
 
 /**
- * If `resume` holds a completed task with `result.contentHash`, copy
- * its saved fields into `result` (marking fromCheckpoint) and return
- * true.
+ * Set a result's shot counts and everything derived from them: the
+ * LER estimate, its Wilson half-width and the per-round rate
+ * 1 - (1 - LER)^(1/rounds) (`result.rounds` must be set). Pure in
+ * (failures, shots, rounds), so a restored task is bit-identical.
+ */
+void setShotCounts(TaskResult& result, size_t failures, size_t shots);
+
+/**
+ * Finish a task's result after its last wave: shot counts, chunk
+ * count and early-stop flag from `sampler` (null if the task failed
+ * before sampling), built-artifact metadata, and worker seconds.
+ * Shared by the in-process engine and the spool coordinator.
+ */
+void finalizeTaskResult(TaskResult& result, const ResolvedTask& task,
+                        const AdaptiveSampler* sampler,
+                        double sampleSeconds);
+
+/**
+ * If `resume` holds a completed task with `result.contentHash`,
+ * replace `result` with it — keeping `result`'s identity fields,
+ * marking fromCheckpoint — and return true.
  */
 bool applyCheckpoint(TaskResult& result, const CampaignCheckpoint* resume);
 

@@ -1,7 +1,6 @@
 #include "campaign/campaign_io.h"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -11,7 +10,7 @@
 
 #include <unistd.h>
 
-#include "common/stats.h"
+#include "campaign/record_codec.h"
 #include "compiler/architecture.h"
 
 namespace cyclone {
@@ -49,6 +48,34 @@ num(double v)
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.12g", v);
     return buf;
+}
+
+constexpr const char* kCheckpointMagic = "cyclone-campaign-checkpoint v2";
+
+/**
+ * Decoder counters the CSV carried before the counter table: they
+ * keep their columns before `backend`. Every other counter is
+ * appended after `error`, in table order.
+ */
+bool
+inlineCsvCounter(std::string_view name)
+{
+    return name == "osd_batch_groups" || name == "osd_shared_pivots" ||
+           name == "staged_chunks";
+}
+
+/** `{"name": value, ...}` over a counter table. */
+template <typename T, size_t N>
+void
+jsonCounters(std::ostream& out, const T& obj,
+             const StatField<T, size_t> (&table)[N])
+{
+    const char* sep = "{";
+    for (const auto& c : table) {
+        out << sep << '"' << c.name << "\": " << obj.*c.member;
+        sep = ", ";
+    }
+    out << '}';
 }
 
 std::string
@@ -100,56 +127,20 @@ specError(size_t line, const std::string& message)
 }
 
 /**
- * Strict numeric field parsers. Every numeric spec key routes
- * through these so a malformed value reports the offending line AND
- * key ("staging_chunks = banana" names both), instead of a bare
- * std::invalid_argument; trailing garbage ("12abc", which std::stoull
- * happily truncates to 12) is rejected rather than silently accepted.
+ * Every numeric spec key routes through the one strict number parser
+ * (record_codec.h), so a malformed value — a sign, trailing garbage
+ * ("12abc"), overflow — reports the offending line AND key
+ * ("staging_chunks = banana" names both).
  */
-unsigned long long
-parseSpecCount(size_t line, const std::string& key,
-               const std::string& value)
-{
-    // stoull accepts (and wraps) negative input; reject it up front.
-    if (!value.empty() && value.front() == '-')
-        specError(line, "key '" + key +
-                      "': expected a non-negative integer, got '" +
-                      value + "'");
-    try {
-        size_t pos = 0;
-        const unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size())
-            specError(line, "key '" + key +
-                          "': trailing characters in number '" +
-                          value + "'");
-        return v;
-    } catch (const std::invalid_argument&) {
-        specError(line,
-                  "key '" + key + "': invalid number '" + value + "'");
-    } catch (const std::out_of_range&) {
-        specError(line, "key '" + key + "': number out of range '" +
-                      value + "'");
-    }
-}
-
-double
-parseSpecReal(size_t line, const std::string& key,
-              const std::string& value)
+template <typename V>
+V
+parseSpec(size_t line, const std::string& key, const std::string& value)
 {
     try {
-        size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size())
-            specError(line, "key '" + key +
-                          "': trailing characters in number '" +
-                          value + "'");
-        return v;
-    } catch (const std::invalid_argument&) {
-        specError(line,
-                  "key '" + key + "': invalid number '" + value + "'");
-    } catch (const std::out_of_range&) {
-        specError(line, "key '" + key + "': number out of range '" +
-                      value + "'");
+        return parseNumber<V>(value, "campaign spec");
+    } catch (const std::runtime_error&) {
+        specError(line, "key '" + key + "': expected a non-negative "
+                        "number, got '" + value + "'");
     }
 }
 
@@ -238,36 +229,11 @@ campaignResultToJson(const CampaignResult& result)
     out << "  \"seed\": " << result.seed << ",\n";
     out << "  \"wall_seconds\": " << num(result.wallSeconds) << ",\n";
     out << "  \"total_shots\": " << result.totalShots() << ",\n";
-    out << "  \"cache\": {\"compile_hits\": " << result.cache.compileHits
-        << ", \"compile_misses\": " << result.cache.compileMisses
-        << ", \"dem_hits\": " << result.cache.demHits
-        << ", \"dem_misses\": " << result.cache.demMisses
-        << ",\n            \"compile_store_hits\": "
-        << result.cache.compileStoreHits
-        << ", \"dem_store_hits\": " << result.cache.demStoreHits
-        << ", \"compile_bytes\": " << result.cache.compileBytes
-        << ", \"dem_bytes\": " << result.cache.demBytes
-        << ", \"quarantined\": " << result.cache.quarantinedBlobs
-        << "},\n";
-    out << "  \"spool\": {\"shards_published\": "
-        << result.spool.shardsPublished
-        << ", \"shards_merged\": " << result.spool.shardsMerged
-        << ", \"shards_reclaimed\": " << result.spool.shardsReclaimed
-        << ", \"records_reused\": " << result.spool.recordsReused
-        << ",\n            \"shards_poisoned\": "
-        << result.spool.shardsPoisoned
-        << ", \"records_quarantined\": "
-        << result.spool.recordsQuarantined
-        << ", \"transient_retries\": "
-        << result.spool.transientRetries
-        << ", \"coordinator_takeovers\": "
-        << result.spool.coordinatorTakeovers
-        << ", \"journal_restores\": " << result.spool.journalRestores
-        << ",\n            \"workers_healthy\": "
-        << result.spool.workersHealthy
-        << ", \"workers_degraded\": " << result.spool.workersDegraded
-        << ", \"workers_lost\": " << result.spool.workersLost
-        << "},\n";
+    out << "  \"cache\": ";
+    jsonCounters(out, result.cache, CacheStats::kCounters);
+    out << ",\n  \"spool\": ";
+    jsonCounters(out, result.spool, SpoolStats::kCounters);
+    out << ",\n";
     out << "  \"tasks\": [\n";
     for (size_t i = 0; i < result.tasks.size(); ++i) {
         const TaskResult& t = result.tasks[i];
@@ -290,20 +256,10 @@ campaignResultToJson(const CampaignResult& result)
             << ", \"from_checkpoint\": "
             << (t.fromCheckpoint ? "true" : "false")
             << ", \"sample_seconds\": " << num(t.sampleSeconds)
-            << ",\n     \"decoder\": {\"decodes\": " << t.decoder.decodes
-            << ", \"bp_converged\": " << t.decoder.bpConverged
-            << ", \"osd_invocations\": " << t.decoder.osdInvocations
-            << ", \"osd_failures\": " << t.decoder.osdFailures
-            << ", \"trivial_shots\": " << t.decoder.trivialShots
-            << ", \"memo_hits\": " << t.decoder.memoHits
-            << ", \"bp_iterations\": " << t.decoder.bpIterations
-            << ", \"wave_groups\": " << t.decoder.waveGroups
-            << ", \"wave_lane_slots\": " << t.decoder.waveLaneSlots
-            << ", \"wave_lanes_filled\": " << t.decoder.waveLanesFilled
-            << ", \"osd_batch_groups\": " << t.decoder.osdBatchGroups
-            << ", \"osd_shared_pivots\": " << t.decoder.osdSharedPivots
-            << ", \"staged_chunks\": " << t.decoder.stagedChunks
-            << ", \"backend\": \"" << jsonEscape(t.decoder.backend)
+            << ",\n     \"decoder\": {";
+        for (const auto& c : BpOsdStats::kCounters)
+            out << '"' << c.name << "\": " << t.decoder.*c.member << ", ";
+        out << "\"backend\": \"" << jsonEscape(t.decoder.backend)
             << "\",\n                 \"trivial_fraction\": "
             << num(t.decoder.trivialFraction())
             << ", \"memo_hit_rate\": " << num(t.decoder.memoHitRate())
@@ -380,13 +336,20 @@ campaignResultToCsv(const CampaignResult& result)
     out << "id,code,architecture,p,rounds,basis,round_latency_us,shots,"
            "failures,ler,wilson,per_round_ler,chunks,stopped_early,"
            "from_checkpoint,sample_seconds,trivial_fraction,"
-           "memo_hit_rate,mean_bp_iterations,wave_lane_occupancy,"
-           "osd_batch_groups,osd_shared_pivots,staged_chunks,backend,"
+           "memo_hit_rate,mean_bp_iterations,wave_lane_occupancy,";
+    for (const auto& c : BpOsdStats::kCounters)
+        if (inlineCsvCounter(c.name))
+            out << c.name << ',';
+    out << "backend,"
            "stream_windows,stream_p50_us,stream_p99_us,stream_p999_us,"
            "stream_deadline_misses,stream_slab_occupancy,"
            "util_gate,util_shuttle,"
            "util_junction,util_swap,parallel_fraction,trap_roadblocks,"
-           "junction_roadblocks,roadblock_wait_us,error\n";
+           "junction_roadblocks,roadblock_wait_us,error";
+    for (const auto& c : BpOsdStats::kCounters)
+        if (!inlineCsvCounter(c.name))
+            out << ',' << c.name;
+    out << '\n';
     for (const TaskResult& t : result.tasks) {
         const double span = t.compileMakespanUs;
         auto util = [&](double component_us) {
@@ -405,11 +368,11 @@ campaignResultToCsv(const CampaignResult& result)
             << ',' << num(t.decoder.trivialFraction()) << ','
             << num(t.decoder.memoHitRate()) << ','
             << num(t.decoder.meanBpIterations()) << ','
-            << num(t.decoder.waveLaneOccupancy()) << ','
-            << t.decoder.osdBatchGroups << ','
-            << t.decoder.osdSharedPivots << ','
-            << t.decoder.stagedChunks << ','
-            << csvField(t.decoder.backend) << ','
+            << num(t.decoder.waveLaneOccupancy()) << ',';
+        for (const auto& c : BpOsdStats::kCounters)
+            if (inlineCsvCounter(c.name))
+                out << t.decoder.*c.member << ',';
+        out << csvField(t.decoder.backend) << ','
             << t.stream.windows << ',' << num(t.stream.p50Us) << ','
             << num(t.stream.p99Us) << ',' << num(t.stream.p999Us)
             << ',' << t.stream.deadlineMisses << ','
@@ -421,7 +384,11 @@ campaignResultToCsv(const CampaignResult& result)
             << num(t.compileParallelFraction) << ','
             << t.trapRoadblocks << ',' << t.junctionRoadblocks << ','
             << num(t.roadblockWaits.totalWaitUs) << ','
-            << csvField(t.error) << '\n';
+            << csvField(t.error);
+        for (const auto& c : BpOsdStats::kCounters)
+            if (!inlineCsvCounter(c.name))
+                out << ',' << t.decoder.*c.member;
+        out << '\n';
     }
     return out.str();
 }
@@ -446,151 +413,78 @@ writeTextFile(const std::string& path, const std::string& content)
     return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
+std::string
+formatCheckpoint(const std::vector<TaskResult>& tasks)
+{
+    std::string out = std::string(kCheckpointMagic) + "\n";
+    for (const TaskResult& t : tasks) {
+        if (!t.error.empty() || t.logicalErrorRate.trials == 0)
+            continue;
+        putKv(out, "task", formatHex(t.contentHash));
+        putKv(out, "rounds", t.rounds);
+        putKv(out, "round_latency_us", t.roundLatencyUs);
+        putKv(out, "dem_detectors", t.demDetectors);
+        putKv(out, "dem_mechanisms", t.demMechanisms);
+        putKv(out, "shots", t.logicalErrorRate.trials);
+        putKv(out, "failures", t.logicalErrorRate.successes);
+        putKv(out, "chunks", t.chunks);
+        putKv(out, "stopped_early", uint64_t{t.stoppedEarly});
+        putKv(out, "sample_seconds", t.sampleSeconds);
+        putKv(out, "backend", t.decoder.backend);
+        putFields(out, t.decoder, BpOsdStats::kCounters);
+        putKv(out, "streamed", uint64_t{t.streamed});
+        putFields(out, t.stream, StreamDecodeStats::kCounters);
+        putFields(out, t.stream, StreamDecodeStats::kScalars);
+    }
+    return withCrcLine(std::move(out));
+}
+
+CampaignCheckpoint
+parseCheckpoint(const std::string& text)
+{
+    KvReader in(text, kCheckpointMagic, "campaign checkpoint");
+    CampaignCheckpoint out;
+    while (!in.atEnd()) {
+        TaskResult t;
+        t.contentHash = in.number<uint64_t>("task", 16);
+        t.rounds = in.number<size_t>("rounds");
+        t.roundLatencyUs = in.number<double>("round_latency_us");
+        t.demDetectors = in.number<size_t>("dem_detectors");
+        t.demMechanisms = in.number<size_t>("dem_mechanisms");
+        const size_t shots = in.number<size_t>("shots");
+        setShotCounts(t, in.number<size_t>("failures"), shots);
+        t.chunks = in.number<size_t>("chunks");
+        t.stoppedEarly = in.number<size_t>("stopped_early") != 0;
+        t.sampleSeconds = in.number<double>("sample_seconds");
+        t.decoder.backend = in.text("backend");
+        in.fields(t.decoder, BpOsdStats::kCounters);
+        t.streamed = in.number<size_t>("streamed") != 0;
+        in.fields(t.stream, StreamDecodeStats::kCounters);
+        in.fields(t.stream, StreamDecodeStats::kScalars);
+        t.fromCheckpoint = true;
+        const uint64_t hash = t.contentHash;
+        if (!out.tasks.emplace(hash, std::move(t)).second)
+            throw std::runtime_error("campaign checkpoint: duplicate "
+                                     "task " + formatHex(hash));
+    }
+    return out;
+}
+
 bool
 saveCheckpoint(const CampaignResult& result, const std::string& path)
 {
-    std::ostringstream out;
-    out << "cyclone-campaign-checkpoint v1\n";
-    for (const TaskResult& t : result.tasks) {
-        if (!t.error.empty() || t.logicalErrorRate.trials == 0)
-            continue;
-        char line[640];
-        std::snprintf(line, sizeof line,
-                      "task %016llx %zu %.17g %zu %zu %zu %zu %zu %d "
-                      "%zu %zu %zu %zu %.6f %zu %zu %zu %zu %zu %zu "
-                      "%zu %zu %zu %d %zu %zu %.6f %.6f %.6f %.6f "
-                      "%.6f %zu %zu\n",
-                      static_cast<unsigned long long>(t.contentHash),
-                      t.rounds, t.roundLatencyUs, t.demDetectors,
-                      t.demMechanisms, t.logicalErrorRate.trials,
-                      t.logicalErrorRate.successes, t.chunks,
-                      t.stoppedEarly ? 1 : 0, t.decoder.decodes,
-                      t.decoder.bpConverged, t.decoder.osdInvocations,
-                      t.decoder.osdFailures, t.sampleSeconds,
-                      t.decoder.trivialShots, t.decoder.memoHits,
-                      t.decoder.bpIterations, t.decoder.waveGroups,
-                      t.decoder.waveLaneSlots,
-                      t.decoder.waveLanesFilled,
-                      t.decoder.osdBatchGroups,
-                      t.decoder.osdSharedPivots,
-                      t.decoder.stagedChunks, t.streamed ? 1 : 0,
-                      t.stream.windows, t.stream.deadlineMisses,
-                      t.stream.latencySumUs, t.stream.latencyMaxUs,
-                      t.stream.p50Us, t.stream.p99Us, t.stream.p999Us,
-                      t.stream.slabSlots, t.stream.slabFilled);
-        out << line;
-    }
-    return writeTextFile(path, out.str());
+    return writeTextFile(path, formatCheckpoint(result.tasks));
 }
 
 bool
 loadCheckpoint(const std::string& path, CampaignCheckpoint& out)
 {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         return false;
-    std::string header;
-    if (!std::getline(in, header) ||
-        trim(header) != "cyclone-campaign-checkpoint v1")
-        return false;
-    std::string line;
-    while (std::getline(in, line)) {
-        line = trim(line);
-        if (line.empty())
-            continue;
-        unsigned long long hash = 0;
-        size_t rounds = 0, detectors = 0, mechanisms = 0, shots = 0,
-               failures = 0, chunks = 0, decodes = 0, converged = 0,
-               osdInv = 0, osdFail = 0, trivial = 0, memoHits = 0,
-               bpIters = 0, waveGroups = 0, waveSlots = 0,
-               waveFilled = 0, osdGroups = 0, osdShared = 0,
-               stagedChunks = 0;
-        size_t streamWindows = 0, streamMisses = 0, slabSlots = 0,
-               slabFilled = 0;
-        double latency = 0.0, seconds = 0.0, streamSumUs = 0.0,
-               streamMaxUs = 0.0, p50 = 0.0, p99 = 0.0, p999 = 0.0;
-        int early = 0, streamed = 0;
-        const int got = std::sscanf(
-            line.c_str(),
-            "task %llx %zu %lg %zu %zu %zu %zu %zu %d %zu %zu %zu %zu "
-            "%lg %zu %zu %zu %zu %zu %zu %zu %zu %zu %d %zu %zu %lg "
-            "%lg %lg %lg %lg %zu %zu",
-            &hash, &rounds, &latency, &detectors, &mechanisms, &shots,
-            &failures, &chunks, &early, &decodes, &converged, &osdInv,
-            &osdFail, &seconds, &trivial, &memoHits, &bpIters,
-            &waveGroups, &waveSlots, &waveFilled, &osdGroups,
-            &osdShared, &stagedChunks, &streamed, &streamWindows,
-            &streamMisses, &streamSumUs, &streamMaxUs, &p50, &p99,
-            &p999, &slabSlots, &slabFilled);
-        // 14 fields = pre-batch-pipeline checkpoint (batch stats
-        // default to zero); 17 = pre-wave-kernel; 20 = pre-batched-
-        // OSD; 22 = pre-staging; 23 = pre-streaming; 33 = current
-        // format. The dispatched backend name is deliberately not
-        // checkpointed (it describes the host that ran the shots, not
-        // the results), and neither is the streaming latency
-        // histogram — only its summary scalars and percentiles ride
-        // along, restored verbatim.
-        if (got != 14 && got != 17 && got != 20 && got != 22 &&
-            got != 23 && got != 33)
-            return false;
-        // sscanf caps at 33 conversions, so a longer line (a future
-        // format) would otherwise be misread as the current one:
-        // reject any line whose token count exceeds what we parsed.
-        size_t tokens = 0;
-        bool inToken = false;
-        for (const char c : line) {
-            const bool ws = c == ' ' || c == '\t';
-            if (!ws && !inToken)
-                ++tokens;
-            inToken = !ws;
-        }
-        if (tokens != static_cast<size_t>(got) + 1)
-            return false;
-        TaskResult t;
-        t.contentHash = hash;
-        t.rounds = rounds;
-        t.roundLatencyUs = latency;
-        t.demDetectors = detectors;
-        t.demMechanisms = mechanisms;
-        t.logicalErrorRate = estimateRate(failures, shots);
-        t.wilson = wilsonHalfWidth(failures, shots);
-        if (rounds > 0 && shots > 0) {
-            const double ler =
-                t.logicalErrorRate.rate < 1.0 ? t.logicalErrorRate.rate
-                                              : 1.0 - 1e-12;
-            t.perRoundErrorRate =
-                1.0 - std::pow(1.0 - ler,
-                               1.0 / static_cast<double>(rounds));
-        }
-        t.chunks = chunks;
-        t.stoppedEarly = early != 0;
-        t.decoder.decodes = decodes;
-        t.decoder.bpConverged = converged;
-        t.decoder.osdInvocations = osdInv;
-        t.decoder.osdFailures = osdFail;
-        t.decoder.trivialShots = trivial;
-        t.decoder.memoHits = memoHits;
-        t.decoder.bpIterations = bpIters;
-        t.decoder.waveGroups = waveGroups;
-        t.decoder.waveLaneSlots = waveSlots;
-        t.decoder.waveLanesFilled = waveFilled;
-        t.decoder.osdBatchGroups = osdGroups;
-        t.decoder.osdSharedPivots = osdShared;
-        t.decoder.stagedChunks = stagedChunks;
-        t.streamed = streamed != 0;
-        t.stream.windows = streamWindows;
-        t.stream.deadlineMisses = streamMisses;
-        t.stream.latencySumUs = streamSumUs;
-        t.stream.latencyMaxUs = streamMaxUs;
-        t.stream.p50Us = p50;
-        t.stream.p99Us = p99;
-        t.stream.p999Us = p999;
-        t.stream.slabSlots = slabSlots;
-        t.stream.slabFilled = slabFilled;
-        t.sampleSeconds = seconds;
-        t.fromCheckpoint = true;
-        out.tasks[t.contentHash] = t;
-    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    out = parseCheckpoint(text.str());
     return true;
 }
 
@@ -632,28 +526,26 @@ parseCampaignSpec(const std::string& text)
             if (key == "name")
                 spec.name = value;
             else if (key == "seed")
-                spec.seed = parseSpecCount(lineno, key, value);
+                spec.seed = parseSpec<size_t>(lineno, key, value);
             else if (key == "threads")
-                spec.threads = parseSpecCount(lineno, key, value);
+                spec.threads = parseSpec<size_t>(lineno, key, value);
             else if (key == "spool")
                 spec.spool = value;
             else if (key == "workers")
-                spec.workers = parseSpecCount(lineno, key, value);
+                spec.workers = parseSpec<size_t>(lineno, key, value);
             else if (key == "lease_seconds") {
-                spec.leaseSeconds = parseSpecReal(lineno, key, value);
+                spec.leaseSeconds = parseSpec<double>(lineno, key, value);
                 if (!(spec.leaseSeconds > 0.0))
                     specError(lineno, "lease_seconds must be > 0");
             } else if (key == "max_claim_reclaims")
                 spec.maxClaimReclaims =
-                    parseSpecCount(lineno, key, value);
+                    parseSpec<size_t>(lineno, key, value);
             else if (key == "retry_attempts") {
-                spec.retryAttempts = parseSpecCount(lineno, key, value);
+                spec.retryAttempts = parseSpec<size_t>(lineno, key, value);
                 if (spec.retryAttempts == 0)
                     specError(lineno, "retry_attempts must be >= 1");
             } else if (key == "retry_base_ms") {
-                spec.retryBaseMs = parseSpecReal(lineno, key, value);
-                if (spec.retryBaseMs < 0.0)
-                    specError(lineno, "retry_base_ms must be >= 0");
+                spec.retryBaseMs = parseSpec<double>(lineno, key, value);
             } else if (key == "fault_plan")
                 spec.faultPlan = value;
             else
@@ -674,11 +566,11 @@ parseCampaignSpec(const std::string& text)
             current->ps.clear();
             for (const std::string& item : splitList(value))
                 current->ps.push_back(
-                    parseSpecReal(lineno, key, item));
+                    parseSpec<double>(lineno, key, item));
             if (current->ps.empty())
                 specError(lineno, "empty p list");
         } else if (key == "rounds") {
-            t.rounds = parseSpecCount(lineno, key, value);
+            t.rounds = parseSpec<size_t>(lineno, key, value);
         } else if (key == "basis") {
             if (value == "z")
                 t.xBasis = false;
@@ -687,9 +579,9 @@ parseCampaignSpec(const std::string& text)
             else
                 specError(lineno, "basis must be z or x");
         } else if (key == "latency_us") {
-            t.roundLatencyUs = parseSpecReal(lineno, key, value);
+            t.roundLatencyUs = parseSpec<double>(lineno, key, value);
         } else if (key == "latency_scale") {
-            t.latencyScale = parseSpecReal(lineno, key, value);
+            t.latencyScale = parseSpec<double>(lineno, key, value);
         } else if (key == "swap") {
             if (value == "gate")
                 t.swap = SwapKind::GateSwap;
@@ -698,7 +590,7 @@ parseCampaignSpec(const std::string& text)
             else
                 specError(lineno, "swap must be gate or ion");
         } else if (key == "grid-capacity" || key == "grid_capacity") {
-            t.gridCapacity = parseSpecCount(lineno, key, value);
+            t.gridCapacity = parseSpec<size_t>(lineno, key, value);
             if (t.gridCapacity == 0)
                 specError(lineno, "grid-capacity must be >= 1");
         } else if (key == "idle_noise" || key == "idle-noise") {
@@ -711,21 +603,21 @@ parseCampaignSpec(const std::string& text)
                 specError(lineno,
                           "idle_noise must be uniform or per-qubit");
         } else if (key == "chunk_shots") {
-            t.stop.chunkShots = parseSpecCount(lineno, key, value);
+            t.stop.chunkShots = parseSpec<size_t>(lineno, key, value);
         } else if (key == "chunks_per_wave") {
-            t.stop.chunksPerWave = parseSpecCount(lineno, key, value);
+            t.stop.chunksPerWave = parseSpec<size_t>(lineno, key, value);
         } else if (key == "max_shots") {
-            t.stop.maxShots = parseSpecCount(lineno, key, value);
+            t.stop.maxShots = parseSpec<size_t>(lineno, key, value);
         } else if (key == "target_rel_err") {
-            t.stop.targetRelErr = parseSpecReal(lineno, key, value);
+            t.stop.targetRelErr = parseSpec<double>(lineno, key, value);
         } else if (key == "min_failures") {
-            t.stop.minFailures = parseSpecCount(lineno, key, value);
+            t.stop.minFailures = parseSpec<size_t>(lineno, key, value);
         } else if (key == "staging_chunks") {
-            t.stop.stagingChunks = parseSpecCount(lineno, key, value);
+            t.stop.stagingChunks = parseSpec<size_t>(lineno, key, value);
             if (t.stop.stagingChunks == 0)
                 specError(lineno, "staging_chunks must be >= 1");
         } else if (key == "shard_chunks") {
-            t.stop.shardChunks = parseSpecCount(lineno, key, value);
+            t.stop.shardChunks = parseSpec<size_t>(lineno, key, value);
         } else if (key == "streaming") {
             if (value == "on" || value == "true")
                 t.stream.enabled = true;
@@ -734,7 +626,7 @@ parseCampaignSpec(const std::string& text)
             else
                 specError(lineno, "streaming must be on or off");
         } else if (key == "streams") {
-            t.stream.streams = parseSpecCount(lineno, key, value);
+            t.stream.streams = parseSpec<size_t>(lineno, key, value);
             if (t.stream.streams == 0)
                 specError(lineno, "streams must be >= 1");
         } else if (key == "stream_flush") {
@@ -747,16 +639,11 @@ parseCampaignSpec(const std::string& text)
                 specError(lineno,
                           "stream_flush must be full-wave or deadline");
         } else if (key == "stream_deadline_us") {
-            t.stream.deadlineUs = parseSpecReal(lineno, key, value);
-            if (t.stream.deadlineUs < 0.0)
-                specError(lineno, "stream_deadline_us must be >= 0");
+            t.stream.deadlineUs = parseSpec<double>(lineno, key, value);
         } else if (key == "stream_flush_after_us") {
-            t.stream.flushAfterUs = parseSpecReal(lineno, key, value);
-            if (t.stream.flushAfterUs < 0.0)
-                specError(lineno,
-                          "stream_flush_after_us must be >= 0");
+            t.stream.flushAfterUs = parseSpec<double>(lineno, key, value);
         } else if (key == "seed") {
-            t.seed = parseSpecCount(lineno, key, value);
+            t.seed = parseSpec<size_t>(lineno, key, value);
         } else if (key == "bp") {
             if (value == "minsum")
                 t.bp.variant = BpOptions::Variant::MinSum;
@@ -765,7 +652,7 @@ parseCampaignSpec(const std::string& text)
             else
                 specError(lineno, "bp must be minsum or productsum");
         } else if (key == "bp_iters") {
-            t.bp.maxIterations = parseSpecCount(lineno, key, value);
+            t.bp.maxIterations = parseSpec<size_t>(lineno, key, value);
         } else {
             specError(lineno, "unknown task key '" + key + "'");
         }
@@ -781,17 +668,6 @@ parseCampaignSpec(const std::string& text)
         throw std::runtime_error("campaign spec defines no tasks");
     checkDuplicateTaskIds(spec, taskLines);
     return spec;
-}
-
-CampaignSpec
-loadCampaignSpec(const std::string& path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot open campaign spec: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return parseCampaignSpec(buffer.str());
 }
 
 } // namespace cyclone

@@ -18,15 +18,17 @@
  *     max_shots = 20000
  *     target_rel_err = 0.1
  *
- * Checkpoints are line-based records of completed tasks keyed by
- * content hash, so a rerun of an edited spec re-executes exactly the
- * tasks whose definition changed.
+ * Checkpoints are record_codec.h documents of completed tasks keyed
+ * by content hash, so a rerun of an edited spec re-executes exactly
+ * the tasks whose definition changed. The spool coordinator's merge
+ * journal is the same document.
  */
 
 #ifndef CYCLONE_CAMPAIGN_CAMPAIGN_IO_H
 #define CYCLONE_CAMPAIGN_CAMPAIGN_IO_H
 
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.h"
 
@@ -42,23 +44,35 @@ std::string campaignResultToCsv(const CampaignResult& result);
 bool writeTextFile(const std::string& path, const std::string& content);
 
 /**
- * Save every successfully completed task of `result` as a checkpoint.
- * Returns false on I/O failure.
+ * Checkpoint document of every successfully completed task (no
+ * error, at least one shot) of `tasks`: shot counts, metadata,
+ * backend, every BpOsdStats counter and the streaming counters and
+ * scalars, doubles written exactly.
  */
+std::string formatCheckpoint(const std::vector<TaskResult>& tasks);
+
+/**
+ * Parse a checkpoint document into tasks marked fromCheckpoint, with
+ * the LER estimate, Wilson half-width and per-round rate derived by
+ * setShotCounts. Throws std::runtime_error, loading nothing, on any
+ * defect — including an older checkpoint version.
+ */
+CampaignCheckpoint parseCheckpoint(const std::string& text);
+
+/** Write formatCheckpoint(result.tasks) to `path`. Returns false on
+ *  I/O failure. */
 bool saveCheckpoint(const CampaignResult& result, const std::string& path);
 
 /**
- * Load a checkpoint file. Returns false when the file is missing or
- * malformed (checkpoints are advisory: a bad one is ignored, not
- * fatal).
+ * Load a checkpoint file. Returns false when the file is missing;
+ * throws std::runtime_error (leaving `out` untouched) when it exists
+ * but parseCheckpoint rejects it. Checkpoints are caches: callers
+ * report the reason and start fresh.
  */
 bool loadCheckpoint(const std::string& path, CampaignCheckpoint& out);
 
 /** Parse a spec document; throws std::runtime_error with a line. */
 CampaignSpec parseCampaignSpec(const std::string& text);
-
-/** Read and parse a spec file; throws on missing file or bad spec. */
-CampaignSpec loadCampaignSpec(const std::string& path);
 
 } // namespace cyclone
 

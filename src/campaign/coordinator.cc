@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -22,41 +21,20 @@
 #include "campaign/campaign_io.h"
 #include "campaign/content_hash.h"
 #include "campaign/fault_plan.h"
+#include "campaign/record_codec.h"
 #include "campaign/thread_pool.h"
-#include "common/stats.h"
 
 namespace cyclone {
 
 namespace {
 
-constexpr const char* kWorkerStatsMagic = "cyclone-worker-stats v1";
-constexpr const char* kJournalMagic = "cyclone-coord-journal v1";
+constexpr const char* kWorkerStatsMagic = "cyclone-worker-stats v2";
 constexpr const char* kHealthMagic = "cyclone-worker-health v1";
 
 void
 sleepSeconds(double s)
 {
     std::this_thread::sleep_for(std::chrono::duration<double>(s));
-}
-
-void
-addDecoderStats(BpOsdStats& into, const BpOsdStats& s)
-{
-    into.decodes += s.decodes;
-    into.bpConverged += s.bpConverged;
-    into.osdInvocations += s.osdInvocations;
-    into.osdFailures += s.osdFailures;
-    into.trivialShots += s.trivialShots;
-    into.memoHits += s.memoHits;
-    into.bpIterations += s.bpIterations;
-    into.waveGroups += s.waveGroups;
-    into.waveLaneSlots += s.waveLaneSlots;
-    into.waveLanesFilled += s.waveLanesFilled;
-    into.osdBatchGroups += s.osdBatchGroups;
-    into.osdSharedPivots += s.osdSharedPivots;
-    into.stagedChunks += s.stagedChunks;
-    if (into.backend.empty())
-        into.backend = s.backend;
 }
 
 /** Install the spec's fault plan unless the environment already
@@ -96,17 +74,6 @@ struct CoordTask
     double sampleSeconds = 0.0;
 };
 
-/** Per-pool-thread decode contexts, rebuilt per shard so every
- *  record's decoder counters cover exactly that shard's groups. */
-struct ShardCtx
-{
-    BpOsdDecoder decoder;
-    std::vector<ShotBatch> batches;
-    ShardCtx(const DetectorErrorModel& dem, const BpOptions& bp)
-        : decoder(dem, bp)
-    {}
-};
-
 /**
  * Execute one claimed shard on `pool` and publish its record —
  * the one shard-execution path, shared by worker loops and
@@ -133,7 +100,9 @@ executeShardChunks(Spool& spool, const std::string& id,
         plans[k].seed = chunkSeed(d.taskSeed, plans[k].index);
     }
 
-    std::vector<std::unique_ptr<ShardCtx>> ctxs(pool.size());
+    // Per-pool-thread decode state, rebuilt per shard so every
+    // record's decoder counters cover exactly that shard's groups.
+    std::vector<std::unique_ptr<ChunkWorker>> ctxs(pool.size());
     std::mutex mutex;
     ChunkOutcome total;
     double seconds = 0.0;
@@ -149,11 +118,10 @@ executeShardChunks(Spool& spool, const std::string& id,
                 const int w = ThreadPool::workerIndex();
                 auto& ctx = ctxs[w >= 0 ? static_cast<size_t>(w) : 0];
                 if (!ctx)
-                    ctx = std::make_unique<ShardCtx>(*rt.dem,
-                                                     rt.spec->bp);
-                const ChunkOutcome out = runChunkGroup(
-                    *rt.dem, plans.data() + g, count, ctx->decoder,
-                    ctx->batches);
+                    ctx = std::make_unique<ChunkWorker>(*rt.dem,
+                                                        rt.spec->bp);
+                const ChunkOutcome out =
+                    ctx->run(*rt.dem, plans.data() + g, count);
                 std::lock_guard<std::mutex> lock(mutex);
                 total.shots += out.shots;
                 total.failures += out.failures;
@@ -162,10 +130,15 @@ executeShardChunks(Spool& spool, const std::string& id,
                 if (!error)
                     error = std::current_exception();
             }
-            std::lock_guard<std::mutex> lock(mutex);
-            seconds += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - c0)
-                           .count();
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                seconds += std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - c0)
+                               .count();
+            }
+            // Last touch of this frame: once pending reaches 0 the
+            // waiter below returns and `mutex` is destroyed, so the
+            // lock must already be released.
             pending.fetch_sub(1);
         });
     }
@@ -190,7 +163,7 @@ executeShardChunks(Spool& spool, const std::string& id,
     rec.seconds = seconds;
     for (const auto& ctx : ctxs)
         if (ctx)
-            addDecoderStats(rec.decoder, ctx->decoder.stats());
+            rec.decoder.merge(ctx->decoder.stats());
     spool.completeShard(id, rec);
     return rec;
 }
@@ -233,104 +206,6 @@ chunkShotsAt(const StoppingRule& rule, size_t index)
     if (planned >= rule.maxShots)
         return 0;
     return std::min(chunkShots, rule.maxShots - planned);
-}
-
-std::string
-formatCoordJournal(const std::vector<JournalEntry>& entries)
-{
-    std::ostringstream out;
-    out << kJournalMagic << "\n";
-    char buf[64];
-    for (const JournalEntry& e : entries) {
-        std::snprintf(buf, sizeof buf, "%016llx",
-                      static_cast<unsigned long long>(e.contentHash));
-        out << "task " << e.task << " " << buf << " " << e.shots
-            << " " << e.failures << " " << e.chunks << " "
-            << (e.stoppedEarly ? 1 : 0) << " ";
-        std::snprintf(buf, sizeof buf, "%.17g", e.sampleSeconds);
-        out << buf << "\n";
-        const BpOsdStats& s = e.decoder;
-        out << "decoder " << s.decodes << " " << s.bpConverged << " "
-            << s.osdInvocations << " " << s.osdFailures << " "
-            << s.trivialShots << " " << s.memoHits << " "
-            << s.bpIterations << " " << s.waveGroups << " "
-            << s.waveLaneSlots << " " << s.waveLanesFilled << " "
-            << s.osdBatchGroups << " " << s.osdSharedPivots << " "
-            << s.stagedChunks << "\n";
-        if (!s.backend.empty())
-            out << "backend " << s.backend << "\n";
-        out << "end\n";
-    }
-    return withCrcLine(out.str());
-}
-
-std::vector<JournalEntry>
-parseCoordJournal(const std::string& text)
-{
-    const std::string payload =
-        checkCrcLine(text, "coordinator journal");
-    std::istringstream in(payload);
-    std::string line;
-    if (!std::getline(in, line) || line != kJournalMagic)
-        throw std::runtime_error(
-            "not a coordinator journal (bad magic line)");
-    std::vector<JournalEntry> entries;
-    std::optional<JournalEntry> current;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string key;
-        if (!(ls >> key))
-            continue;
-        if (key == "task") {
-            std::string hash;
-            unsigned long long task = 0, shots = 0, failures = 0,
-                               chunks = 0;
-            int early = 0;
-            double seconds = 0.0;
-            if (!(ls >> task >> hash >> shots >> failures >> chunks >>
-                  early >> seconds))
-                throw std::runtime_error(
-                    "coordinator journal: malformed task line");
-            current.emplace();
-            current->task = static_cast<size_t>(task);
-            current->contentHash =
-                std::stoull(hash, nullptr, 16);
-            current->shots = static_cast<size_t>(shots);
-            current->failures = static_cast<size_t>(failures);
-            current->chunks = static_cast<size_t>(chunks);
-            current->stoppedEarly = early != 0;
-            current->sampleSeconds = seconds;
-        } else if (key == "decoder" && current) {
-            uint64_t v[13] = {};
-            for (auto& x : v)
-                if (!(ls >> x))
-                    throw std::runtime_error(
-                        "coordinator journal: malformed decoder "
-                        "line");
-            BpOsdStats& s = current->decoder;
-            s.decodes = v[0];
-            s.bpConverged = v[1];
-            s.osdInvocations = v[2];
-            s.osdFailures = v[3];
-            s.trivialShots = v[4];
-            s.memoHits = v[5];
-            s.bpIterations = v[6];
-            s.waveGroups = v[7];
-            s.waveLaneSlots = v[8];
-            s.waveLanesFilled = v[9];
-            s.osdBatchGroups = v[10];
-            s.osdSharedPivots = v[11];
-            s.stagedChunks = v[12];
-        } else if (key == "backend" && current) {
-            std::string backend;
-            if (ls >> backend)
-                current->decoder.backend = backend;
-        } else if (key == "end" && current) {
-            entries.push_back(*current);
-            current.reset();
-        }
-    }
-    return entries;
 }
 
 CampaignResult
@@ -404,18 +279,8 @@ runDistributedCampaign(const CampaignSpec& spec,
     for (size_t i = 0; i < n; ++i) {
         CoordTask& st = states[i];
         st.rt = std::move(resolved[i]);
-        const TaskSpec& t = spec.tasks[i];
         TaskResult& r = result.tasks[i];
-        r.id = !t.id.empty() ? t.id : "task" + std::to_string(i);
-        r.codeName =
-            !t.codeName.empty() ? t.codeName : st.rt.code->name();
-        r.architecture = t.compileLatency
-            ? architectureName(t.architecture)
-            : "explicit";
-        r.physicalError = t.physicalError;
-        r.rounds = st.rt.rounds;
-        r.xBasis = t.xBasis;
-        r.contentHash = st.rt.contentHash;
+        r = taskResultFor(st.rt, i);
         if (applyCheckpoint(r, resume)) {
             st.finished = true;
             if (onTaskDone)
@@ -425,30 +290,24 @@ runDistributedCampaign(const CampaignSpec& spec,
         ++remaining;
     }
 
-    // A dead predecessor's merge journal: tasks it already finalized
-    // restore below without re-merging a single record.
-    std::vector<JournalEntry> journal;
+    // A dead predecessor's merge journal (the checkpoint document of
+    // the tasks it finalized): those tasks restore below without
+    // re-merging a single record.
+    CampaignCheckpoint journal;
     {
         std::string text;
         if (spool.readJournal(text)) {
             try {
-                journal = parseCoordJournal(text);
+                journal = parseCheckpoint(text);
             } catch (const std::exception&) {
-                // Torn journal (the predecessor died mid-commit...
-                // of the commit): quarantine it and fall back to
-                // re-merging from records, which is merely slower.
+                // Torn or older-version journal: quarantine it and
+                // fall back to re-merging from records, which is
+                // merely slower.
                 spool.quarantineFile("journal.txt");
                 ++result.spool.recordsQuarantined;
-                journal.clear();
             }
         }
     }
-    auto journalFor = [&](uint64_t hash) -> const JournalEntry* {
-        for (const JournalEntry& e : journal)
-            if (e.contentHash == hash)
-                return &e;
-        return nullptr;
-    };
 
     // Resolve all artifacts up front, sequentially and thread-free
     // (callers fork worker processes around this function; a live
@@ -473,77 +332,24 @@ runDistributedCampaign(const CampaignSpec& spec,
     // after every finalize: the journal is always a consistent
     // prefix of the finalized tasks, no matter where we die.
     auto writeJournalNow = [&] {
-        std::vector<JournalEntry> entries;
-        for (size_t i = 0; i < n; ++i) {
-            const TaskResult& r = result.tasks[i];
-            if (!states[i].finished || r.fromCheckpoint ||
-                !r.error.empty())
-                continue;
-            JournalEntry e;
-            e.task = i;
-            e.contentHash = r.contentHash;
-            e.shots = r.logicalErrorRate.trials;
-            e.failures = r.logicalErrorRate.successes;
-            e.chunks = r.chunks;
-            e.stoppedEarly = r.stoppedEarly;
-            e.sampleSeconds = r.sampleSeconds;
-            e.decoder = r.decoder;
-            entries.push_back(std::move(e));
-        }
-        spool.writeJournal(formatCoordJournal(entries));
+        std::vector<TaskResult> finalized;
+        for (size_t i = 0; i < n; ++i)
+            if (states[i].finished && !result.tasks[i].fromCheckpoint)
+                finalized.push_back(result.tasks[i]);
+        spool.writeJournal(formatCheckpoint(finalized));
     };
 
     auto finalize = [&](size_t i) {
         CoordTask& st = states[i];
         TaskResult& r = result.tasks[i];
         st.finished = true;
-        if (st.sampler) {
-            r.logicalErrorRate = st.sampler->estimate();
-            r.wilson = wilsonHalfWidth(st.sampler->failures(),
-                                       st.sampler->shots());
-            r.chunks = st.sampler->chunksPlanned();
-            r.stoppedEarly = st.sampler->stoppedEarly();
-        }
-        fillResolvedMetadata(r, st.rt);
-        r.sampleSeconds = st.sampleSeconds;
-        if (r.rounds > 0 && r.logicalErrorRate.trials > 0) {
-            const double ler =
-                std::min(r.logicalErrorRate.rate, 1.0 - 1e-12);
-            r.perRoundErrorRate = 1.0 -
-                std::pow(1.0 - ler,
-                         1.0 / static_cast<double>(r.rounds));
-        }
+        finalizeTaskResult(r, st.rt,
+                           st.sampler ? &*st.sampler : nullptr,
+                           st.sampleSeconds);
         if (onTaskDone)
             onTaskDone(r);
         writeJournalNow();
         faultMilestone("coord.task.finalized");
-    };
-
-    // Restore a task a dead coordinator already finalized: same
-    // fields finalize() derives, from the journaled counts — the
-    // estimate/Wilson formulas are pure functions of (failures,
-    // shots), so the restored task is bit-identical.
-    auto restoreFromJournal = [&](size_t i, const JournalEntry& e) {
-        CoordTask& st = states[i];
-        TaskResult& r = result.tasks[i];
-        st.finished = true;
-        r.logicalErrorRate = estimateRate(e.failures, e.shots);
-        r.wilson = wilsonHalfWidth(e.failures, e.shots);
-        r.chunks = e.chunks;
-        r.stoppedEarly = e.stoppedEarly;
-        r.decoder = e.decoder;
-        fillResolvedMetadata(r, st.rt);
-        r.sampleSeconds = e.sampleSeconds;
-        if (r.rounds > 0 && r.logicalErrorRate.trials > 0) {
-            const double ler =
-                std::min(r.logicalErrorRate.rate, 1.0 - 1e-12);
-            r.perRoundErrorRate = 1.0 -
-                std::pow(1.0 - ler,
-                         1.0 / static_cast<double>(r.rounds));
-        }
-        ++result.spool.journalRestores;
-        if (onTaskDone)
-            onTaskDone(r);
     };
 
     // Publish one wave as contiguous chunk-range shards. Returns
@@ -586,12 +392,19 @@ runDistributedCampaign(const CampaignSpec& spec,
         CoordTask& st = states[i];
         if (st.finished)
             continue;
-        if (st.sampler) {
-            if (const JournalEntry* e = journalFor(st.rt.contentHash)) {
-                restoreFromJournal(i, *e);
-                --remaining;
-                continue;
-            }
+        TaskResult& r = result.tasks[i];
+        if (st.sampler && applyCheckpoint(r, &journal)) {
+            // A dead coordinator already finalized this task: the
+            // journal holds exactly what finalize() derived, and the
+            // built artifacts supply the compile metadata.
+            fillResolvedMetadata(r, st.rt);
+            r.fromCheckpoint = false;
+            st.finished = true;
+            ++result.spool.journalRestores;
+            if (onTaskDone)
+                onTaskDone(r);
+            --remaining;
+            continue;
         }
         if (!st.sampler || !publishWave(i)) {
             finalize(i);
@@ -659,7 +472,7 @@ runDistributedCampaign(const CampaignSpec& spec,
                 st.sampler->absorb(
                     ChunkOutcome{rec.shots, rec.failures});
                 st.sampleSeconds += rec.seconds;
-                addDecoderStats(result.tasks[i].decoder, rec.decoder);
+                result.tasks[i].decoder.merge(rec.decoder);
                 ++result.spool.shardsMerged;
                 st.inflight.erase(id);
                 st.outstanding.erase(st.outstanding.begin() +
@@ -802,67 +615,20 @@ runDistributedCampaign(const CampaignSpec& spec,
 std::string
 formatWorkerStats(const WorkerReport& r)
 {
-    std::ostringstream out;
-    out << kWorkerStatsMagic << "\n"
-        << "shards " << r.shardsRun << "\n"
-        << "shots " << r.shots << "\n"
-        << "failures " << r.failures << "\n"
-        << "retries " << r.transientRetries << "\n"
-        << "promotions " << r.promotions << "\n"
-        << "compile_hits " << r.cache.compileHits << "\n"
-        << "compile_misses " << r.cache.compileMisses << "\n"
-        << "compile_store_hits " << r.cache.compileStoreHits << "\n"
-        << "compile_bytes " << r.cache.compileBytes << "\n"
-        << "dem_hits " << r.cache.demHits << "\n"
-        << "dem_misses " << r.cache.demMisses << "\n"
-        << "dem_store_hits " << r.cache.demStoreHits << "\n"
-        << "dem_bytes " << r.cache.demBytes << "\n"
-        << "quarantined " << r.cache.quarantinedBlobs << "\n";
-    return out.str();
+    std::string out = std::string(kWorkerStatsMagic) + "\n";
+    putFields(out, r, WorkerReport::kCounters);
+    putFields(out, r.cache, CacheStats::kCounters);
+    return withCrcLine(std::move(out));
 }
 
 WorkerReport
 parseWorkerStats(const std::string& text)
 {
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != kWorkerStatsMagic)
-        throw std::runtime_error(
-            "not a worker stats file (bad magic line)");
+    KvReader in(text, kWorkerStatsMagic, "worker stats");
     WorkerReport r;
-    std::string key;
-    unsigned long long value = 0;
-    while (in >> key >> value) {
-        const size_t v = static_cast<size_t>(value);
-        if (key == "shards")
-            r.shardsRun = v;
-        else if (key == "shots")
-            r.shots = v;
-        else if (key == "failures")
-            r.failures = v;
-        else if (key == "retries")
-            r.transientRetries = v;
-        else if (key == "promotions")
-            r.promotions = v;
-        else if (key == "compile_hits")
-            r.cache.compileHits = v;
-        else if (key == "compile_misses")
-            r.cache.compileMisses = v;
-        else if (key == "compile_store_hits")
-            r.cache.compileStoreHits = v;
-        else if (key == "compile_bytes")
-            r.cache.compileBytes = v;
-        else if (key == "dem_hits")
-            r.cache.demHits = v;
-        else if (key == "dem_misses")
-            r.cache.demMisses = v;
-        else if (key == "dem_store_hits")
-            r.cache.demStoreHits = v;
-        else if (key == "dem_bytes")
-            r.cache.demBytes = v;
-        else if (key == "quarantined")
-            r.cache.quarantinedBlobs = v;
-    }
+    in.fields(r, WorkerReport::kCounters);
+    in.fields(r.cache, CacheStats::kCounters);
+    in.finish();
     return r;
 }
 

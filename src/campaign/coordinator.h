@@ -25,8 +25,9 @@
  * the lease expires and another worker re-executes it.
  *
  * Failover: the coordinator role itself is leased (spool
- * coord.lease) and journaled (spool journal.txt, rewritten
- * atomically after every task finalize). If the coordinator dies at
+ * coord.lease) and journaled (spool journal.txt: the checkpoint
+ * document of the finalized tasks, rewritten atomically after every
+ * task finalize). If the coordinator dies at
  * ANY point — before the spool exists, mid-prebuild, mid-merge,
  * between the last record and DONE — any process can take over:
  * `campaign_runner --coordinator-takeover`, a fresh coordinator run
@@ -66,26 +67,6 @@ size_t effectiveShardChunks(const StoppingRule& rule);
  * can rebuild exact ChunkPlans from a shard's chunk range.
  */
 size_t chunkShotsAt(const StoppingRule& rule, size_t index);
-
-/** One finalized task in the coordinator's merge journal. */
-struct JournalEntry
-{
-    size_t task = 0;
-    uint64_t contentHash = 0;
-    size_t shots = 0;
-    size_t failures = 0;
-    size_t chunks = 0;
-    bool stoppedEarly = false;
-    double sampleSeconds = 0.0;
-    BpOsdStats decoder;
-};
-
-/** Text round-trip of the coordinator merge journal (CRC-protected,
- *  rewritten whole via tmp+rename after every finalize). */
-std::string formatCoordJournal(const std::vector<JournalEntry>& entries);
-/** Throws CorruptSpoolError on a bad checksum, std::runtime_error on
- *  malformed fields. */
-std::vector<JournalEntry> parseCoordJournal(const std::string& text);
 
 /** Coordinator-role configuration. */
 struct CoordinatorOptions
@@ -172,11 +153,22 @@ struct WorkerReport
     /** This process's artifact-cache activity (store hits vs local
      *  builds prove the fleet compiled each point exactly once). */
     CacheStats cache;
+
+    /** Serialized counters besides `cache`. */
+    static constexpr StatField<WorkerReport, size_t> kCounters[] = {
+        {"shards", &WorkerReport::shardsRun},
+        {"shots", &WorkerReport::shots},
+        {"failures", &WorkerReport::failures},
+        {"retries", &WorkerReport::transientRetries},
+        {"promotions", &WorkerReport::promotions},
+    };
 };
 
-/** Text round-trip of a worker stats file (stats-<id>.txt). */
+/** Text round-trip of a worker stats file (stats-<id>.txt;
+ *  record_codec.h document, CRC-protected). */
 std::string formatWorkerStats(const WorkerReport& report);
-/** Throws std::runtime_error on malformed input. */
+/** Throws std::runtime_error on malformed input, unknown, duplicate
+ *  or missing keys, or an older version. */
 WorkerReport parseWorkerStats(const std::string& text);
 
 /**

@@ -16,20 +16,16 @@
 
 #include "campaign/content_hash.h"
 #include "campaign/fault_plan.h"
-#include "common/crc32.h"
 
 namespace cyclone {
 
 namespace {
 
 constexpr const char* kDescriptorMagic = "cyclone-shard v2";
-constexpr const char* kRecordMagic = "cyclone-shard-result v2";
+constexpr const char* kRecordMagic = "cyclone-shard-result v3";
 constexpr const char* kManifestMagic = "cyclone-spool v1";
 constexpr const char* kLeaseFile = "coord.lease";
 constexpr const char* kJournalFile = "journal.txt";
-
-/** Decoder counters on a record line, in fixed order. */
-constexpr size_t kDecoderFields = 13;
 
 /** Errno values worth retrying: the transient I/O family (flaky
  *  disks, NFS hiccups, brief out-of-space). */
@@ -106,76 +102,6 @@ tokenize(const std::string& line)
     return tokens;
 }
 
-uint64_t
-parseU64(const std::string& tok, const char* what)
-{
-    try {
-        return std::stoull(tok, nullptr, 10);
-    } catch (...) {
-        throw std::runtime_error(std::string("bad ") + what +
-                                 " field: " + tok);
-    }
-}
-
-uint64_t
-parseHex(const std::string& tok, const char* what)
-{
-    try {
-        return std::stoull(tok, nullptr, 16);
-    } catch (...) {
-        throw std::runtime_error(std::string("bad ") + what +
-                                 " field: " + tok);
-    }
-}
-
-double
-parseDouble(const std::string& tok, const char* what)
-{
-    try {
-        return std::stod(tok);
-    } catch (...) {
-        throw std::runtime_error(std::string("bad ") + what +
-                                 " field: " + tok);
-    }
-}
-
-std::string
-hex(uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
-dbl(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-/** First line must equal `magic`; returns the remaining lines. */
-std::vector<std::string>
-splitChecked(const std::string& text, const char* magic,
-             const char* what)
-{
-    std::vector<std::string> lines;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        lines.push_back(line);
-    }
-    if (lines.empty() || lines.front() != magic)
-        throw std::runtime_error(std::string("not a ") + what +
-                                 " file (bad magic line)");
-    lines.erase(lines.begin());
-    return lines;
-}
-
 double
 monotonicSeconds()
 {
@@ -196,166 +122,67 @@ shardId(size_t task, size_t shard)
 }
 
 std::string
-withCrcLine(std::string text)
-{
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%08x", crc32(text));
-    text += "crc ";
-    text += buf;
-    text += "\n";
-    return text;
-}
-
-std::string
-checkCrcLine(const std::string& text, const char* what)
-{
-    size_t pos = text.rfind("\ncrc ");
-    if (pos != std::string::npos) {
-        pos += 1;
-    } else if (text.rfind("crc ", 0) == 0) {
-        pos = 0;
-    } else {
-        throw CorruptSpoolError(std::string(what) +
-                                ": missing crc line (truncated?)");
-    }
-    const auto tok = tokenize(text.substr(pos));
-    uint32_t want = 0;
-    bool parsed = tok.size() == 2;
-    if (parsed) {
-        try {
-            want = static_cast<uint32_t>(
-                std::stoul(tok[1], nullptr, 16));
-        } catch (...) {
-            parsed = false;
-        }
-    }
-    if (!parsed)
-        throw CorruptSpoolError(std::string(what) +
-                                ": malformed crc line");
-    const std::string payload = text.substr(0, pos);
-    if (crc32(payload) != want)
-        throw CorruptSpoolError(std::string(what) +
-                                ": checksum mismatch");
-    return payload;
-}
-
-std::string
 formatShardDescriptor(const ShardDescriptor& d)
 {
     std::ostringstream out;
     out << kDescriptorMagic << "\n"
         << "shard " << d.task << " " << d.shard << " " << d.firstChunk
         << " " << d.numChunks << " " << d.chunkShots << " "
-        << hex(d.contentHash) << " " << hex(d.taskSeed) << "\n";
+        << formatHex(d.contentHash) << " " << formatHex(d.taskSeed)
+        << "\n";
     return withCrcLine(out.str());
 }
 
 ShardDescriptor
 parseShardDescriptor(const std::string& text)
 {
-    const std::string payload = checkCrcLine(text, "shard descriptor");
-    const auto lines =
-        splitChecked(payload, kDescriptorMagic, "shard descriptor");
-    for (const std::string& line : lines) {
-        const auto tok = tokenize(line);
-        if (tok.empty())
-            continue;
-        if (tok[0] != "shard")
-            continue;
-        if (tok.size() != 8)
-            throw std::runtime_error(
-                "shard descriptor: expected 7 fields, got " +
-                std::to_string(tok.size() - 1));
-        ShardDescriptor d;
-        d.task = parseU64(tok[1], "task");
-        d.shard = parseU64(tok[2], "shard");
-        d.firstChunk = parseU64(tok[3], "firstChunk");
-        d.numChunks = parseU64(tok[4], "numChunks");
-        d.chunkShots = parseU64(tok[5], "chunkShots");
-        d.contentHash = parseHex(tok[6], "contentHash");
-        d.taskSeed = parseHex(tok[7], "taskSeed");
-        return d;
-    }
-    throw std::runtime_error("shard descriptor: missing shard line");
+    const char* what = "shard descriptor";
+    KvReader in(text, kDescriptorMagic, what);
+    const auto tok = tokenize(in.text("shard"));
+    in.finish();
+    if (tok.size() != 7)
+        throw CorruptSpoolError("shard descriptor: expected 7 fields, got " +
+                                std::to_string(tok.size()));
+    ShardDescriptor d;
+    d.task = parseNumber<size_t>(tok[0], what);
+    d.shard = parseNumber<size_t>(tok[1], what);
+    d.firstChunk = parseNumber<size_t>(tok[2], what);
+    d.numChunks = parseNumber<size_t>(tok[3], what);
+    d.chunkShots = parseNumber<size_t>(tok[4], what);
+    d.contentHash = parseNumber<uint64_t>(tok[5], what, 16);
+    d.taskSeed = parseNumber<uint64_t>(tok[6], what, 16);
+    return d;
 }
 
 std::string
 formatShardRecord(const ShardRecord& r)
 {
-    std::ostringstream out;
-    out << kRecordMagic << "\n"
-        << "shard " << r.task << " " << r.shard << " "
-        << hex(r.contentHash) << " " << r.shots << " " << r.failures
-        << " " << dbl(r.seconds) << "\n";
-    const BpOsdStats& s = r.decoder;
-    out << "decoder " << s.decodes << " " << s.bpConverged << " "
-        << s.osdInvocations << " " << s.osdFailures << " "
-        << s.trivialShots << " " << s.memoHits << " " << s.bpIterations
-        << " " << s.waveGroups << " " << s.waveLaneSlots << " "
-        << s.waveLanesFilled << " " << s.osdBatchGroups << " "
-        << s.osdSharedPivots << " " << s.stagedChunks << "\n";
-    if (!s.backend.empty())
-        out << "backend " << s.backend << "\n";
-    return withCrcLine(out.str());
+    std::string out = std::string(kRecordMagic) + "\n";
+    putKv(out, "task", r.task);
+    putKv(out, "shard", r.shard);
+    putKv(out, "content_hash", formatHex(r.contentHash));
+    putKv(out, "shots", r.shots);
+    putKv(out, "failures", r.failures);
+    putKv(out, "seconds", r.seconds);
+    putKv(out, "backend", r.decoder.backend);
+    putFields(out, r.decoder, BpOsdStats::kCounters);
+    return withCrcLine(std::move(out));
 }
 
 ShardRecord
 parseShardRecord(const std::string& text)
 {
-    const std::string payload = checkCrcLine(text, "shard record");
-    const auto lines =
-        splitChecked(payload, kRecordMagic, "shard record");
+    KvReader in(text, kRecordMagic, "shard record");
     ShardRecord r;
-    bool haveShard = false;
-    for (const std::string& line : lines) {
-        const auto tok = tokenize(line);
-        if (tok.empty())
-            continue;
-        if (tok[0] == "shard") {
-            if (tok.size() != 7)
-                throw std::runtime_error(
-                    "shard record: expected 6 shard fields, got " +
-                    std::to_string(tok.size() - 1));
-            r.task = parseU64(tok[1], "task");
-            r.shard = parseU64(tok[2], "shard");
-            r.contentHash = parseHex(tok[3], "contentHash");
-            r.shots = parseU64(tok[4], "shots");
-            r.failures = parseU64(tok[5], "failures");
-            r.seconds = parseDouble(tok[6], "seconds");
-            haveShard = true;
-        } else if (tok[0] == "decoder") {
-            // Field-counted like the checkpoint format: accept short
-            // (old) decoder lines zero-filled, reject long (future)
-            // ones so new counters force a deliberate version bump.
-            const size_t n = tok.size() - 1;
-            if (n < 4 || n > kDecoderFields)
-                throw std::runtime_error(
-                    "shard record: unsupported decoder field count " +
-                    std::to_string(n));
-            uint64_t v[kDecoderFields] = {};
-            for (size_t i = 0; i < n; ++i)
-                v[i] = parseU64(tok[i + 1], "decoder");
-            BpOsdStats& s = r.decoder;
-            s.decodes = v[0];
-            s.bpConverged = v[1];
-            s.osdInvocations = v[2];
-            s.osdFailures = v[3];
-            s.trivialShots = v[4];
-            s.memoHits = v[5];
-            s.bpIterations = v[6];
-            s.waveGroups = v[7];
-            s.waveLaneSlots = v[8];
-            s.waveLanesFilled = v[9];
-            s.osdBatchGroups = v[10];
-            s.osdSharedPivots = v[11];
-            s.stagedChunks = v[12];
-        } else if (tok[0] == "backend") {
-            if (tok.size() >= 2)
-                r.decoder.backend = tok[1];
-        }
-    }
-    if (!haveShard)
-        throw std::runtime_error("shard record: missing shard line");
+    r.task = in.number<size_t>("task");
+    r.shard = in.number<size_t>("shard");
+    r.contentHash = in.number<uint64_t>("content_hash", 16);
+    r.shots = in.number<size_t>("shots");
+    r.failures = in.number<size_t>("failures");
+    r.seconds = in.number<double>("seconds");
+    r.decoder.backend = in.text("backend");
+    in.fields(r.decoder, BpOsdStats::kCounters);
+    in.finish();
     return r;
 }
 
@@ -365,11 +192,11 @@ formatManifest(const SpoolManifest& m)
     std::ostringstream out;
     out << kManifestMagic << "\n"
         << "name " << m.name << "\n"
-        << "seed " << hex(m.seed) << "\n"
-        << "spec " << hex(m.specHash) << "\n"
-        << "lease " << dbl(m.leaseSeconds) << "\n"
+        << "seed " << formatHex(m.seed) << "\n"
+        << "spec " << formatHex(m.specHash) << "\n"
+        << "lease " << formatReal(m.leaseSeconds) << "\n"
         << "retry_attempts " << m.retryAttempts << "\n"
-        << "retry_base_ms " << dbl(m.retryBaseMs) << "\n";
+        << "retry_base_ms " << formatReal(m.retryBaseMs) << "\n";
     return out.str();
 }
 
@@ -378,6 +205,7 @@ parseManifest(const std::string& text)
 {
     const auto lines =
         splitChecked(text, kManifestMagic, "spool manifest");
+    const char* what = "spool manifest";
     SpoolManifest m;
     for (const std::string& line : lines) {
         const auto tok = tokenize(line);
@@ -387,15 +215,15 @@ parseManifest(const std::string& text)
             const size_t at = line.find(' ');
             m.name = at == std::string::npos ? "" : line.substr(at + 1);
         } else if (tok[0] == "seed" && tok.size() == 2) {
-            m.seed = parseHex(tok[1], "seed");
+            m.seed = parseNumber<uint64_t>(tok[1], what, 16);
         } else if (tok[0] == "spec" && tok.size() == 2) {
-            m.specHash = parseHex(tok[1], "spec");
+            m.specHash = parseNumber<uint64_t>(tok[1], what, 16);
         } else if (tok[0] == "lease" && tok.size() == 2) {
-            m.leaseSeconds = parseDouble(tok[1], "lease");
+            m.leaseSeconds = parseNumber<double>(tok[1], what);
         } else if (tok[0] == "retry_attempts" && tok.size() == 2) {
-            m.retryAttempts = parseU64(tok[1], "retry_attempts");
+            m.retryAttempts = parseNumber<size_t>(tok[1], what);
         } else if (tok[0] == "retry_base_ms" && tok.size() == 2) {
-            m.retryBaseMs = parseDouble(tok[1], "retry_base_ms");
+            m.retryBaseMs = parseNumber<double>(tok[1], what);
         }
     }
     return m;
@@ -498,7 +326,8 @@ Spool::initialize(const SpoolManifest& manifest,
             throw std::runtime_error(
                 "spool " + dir_ +
                 " already holds a different campaign (spec hash " +
-                hex(existing.specHash) + " != " + hex(m.specHash) +
+                formatHex(existing.specHash) + " != " +
+                formatHex(m.specHash) +
                 "); use a fresh directory");
         return;
     }
@@ -734,14 +563,7 @@ Spool::hasRecord(const std::string& id) const
 ShardRecord
 Spool::readRecord(const std::string& id) const
 {
-    const std::string text = readFile("results/" + id + ".rec");
-    try {
-        return parseShardRecord(text);
-    } catch (const CorruptSpoolError&) {
-        throw;
-    } catch (const std::exception& ex) {
-        throw CorruptSpoolError("record " + id + ": " + ex.what());
-    }
+    return parseShardRecord(readFile("results/" + id + ".rec"));
 }
 
 bool

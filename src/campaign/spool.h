@@ -22,7 +22,8 @@
  *       done/<shard>       completed descriptors (tombstones)
  *       results/<shard>.rec  shard result records (tmp+rename publish)
  *       coord.lease        coordinator liveness lease (mtime heartbeat)
- *       journal.txt        coordinator merge journal (finalized tasks)
+ *       journal.txt        coordinator merge journal: a checkpoint
+ *                          document of the finalized tasks
  *       reclaims/<shard>   per-shard reclaim counters (poison detection)
  *       quarantine/        corrupt records/descriptors, poison shards
  *       workers/<id>       worker health files (healthy/degraded/done)
@@ -77,18 +78,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "campaign/record_codec.h"
 #include "campaign/retry_policy.h"
 #include "decoder/bposd_decoder.h"
 
 namespace cyclone {
-
-/** A spool file whose contents failed validation (bad checksum or
- *  malformed text) — quarantine material, distinct from transient
- *  I/O failures. */
-struct CorruptSpoolError : public std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
 
 /** One claimable unit of work: a contiguous chunk range of a task. */
 struct ShardDescriptor
@@ -139,36 +133,17 @@ struct SpoolManifest
 /** Stable shard id, e.g. "t0003-s00017". */
 std::string shardId(size_t task, size_t shard);
 
-/**
- * Append a trailing "crc xxxxxxxx" line (CRC-32 of everything before
- * it) to a text document. checkCrcLine() verifies and strips it.
- */
-std::string withCrcLine(std::string text);
-
-/**
- * Verify and strip the trailing crc line of `text`, returning the
- * payload. Throws CorruptSpoolError (tagged with `what`) if the line
- * is absent, malformed, or does not match the payload.
- */
-std::string checkCrcLine(const std::string& text, const char* what);
-
 /** Text round-trip of a shard descriptor (one record per file,
  *  CRC-protected). */
 std::string formatShardDescriptor(const ShardDescriptor& d);
-/** Throws CorruptSpoolError on a bad checksum, std::runtime_error on
- *  malformed fields. */
+/** Throws CorruptSpoolError on a bad checksum or malformed fields. */
 ShardDescriptor parseShardDescriptor(const std::string& text);
 
-/**
- * Text round-trip of a shard record (CRC-protected). The decoder
- * line is field-counted like the checkpoint format: loaders accept
- * records with fewer decoder fields (zero-filling the rest) so old
- * records stay readable, and reject records with more, so a new
- * field is a deliberate format bump rather than silent truncation.
- */
+/** Text round-trip of a shard record (record_codec.h: one key per
+ *  field, every BpOsdStats counter included, CRC-protected). */
 std::string formatShardRecord(const ShardRecord& r);
-/** Throws CorruptSpoolError on a bad checksum, std::runtime_error on
- *  malformed fields. */
+/** Throws CorruptSpoolError on a bad checksum, malformed fields or
+ *  an older record version. */
 ShardRecord parseShardRecord(const std::string& text);
 
 /** Text round-trip of the spool manifest. */

@@ -30,6 +30,19 @@ RateEstimate estimateRate(size_t successes, size_t trials);
  */
 double wilsonHalfWidth(size_t successes, size_t trials);
 
+/**
+ * One serialized statistic: its snake_case name (the JSON key and the
+ * key of every text record that carries it) and the member it names.
+ * Stats structs list their serialized members in a static table of
+ * these, so adding a statistic is one member plus one table row.
+ */
+template <typename Owner, typename Value>
+struct StatField
+{
+    const char* name;
+    Value Owner::*member;
+};
+
 } // namespace cyclone
 
 #endif // CYCLONE_COMMON_STATS_H

@@ -7,6 +7,23 @@
 
 namespace cyclone {
 
+void
+BpOsdStats::merge(const BpOsdStats& other)
+{
+    for (const auto& c : kCounters)
+        this->*c.member += other.*c.member;
+    if (backend.empty())
+        backend = other.backend;
+}
+
+double
+BpOsdStats::bpConvergedFraction() const
+{
+    return decodes == 0
+        ? 0.0
+        : static_cast<double>(bpConverged) / static_cast<double>(decodes);
+}
+
 double
 BpOsdStats::trivialFraction() const
 {

@@ -45,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/stats.h"
 #include "decoder/bp_decoder.h"
 #include "decoder/bp_wave_decoder.h"
 #include "decoder/decoder.h"
@@ -103,9 +104,36 @@ struct BpOsdStats
     size_t stagedChunks = 0;
 
     /** SIMD-ladder backend the decoder dispatched to ("scalar",
-     *  "generic", "avx2", "avx512"; empty for results loaded from a
-     *  checkpoint, whose host backend is unknown). */
+     *  "generic", "avx2", "avx512"). */
     std::string backend;
+
+    /**
+     * Every counter, in JSON order. Merging, the JSON `decoder`
+     * block, the CSV, checkpoints, shard records and the runner
+     * summary all iterate this table, so a new counter is one member
+     * above plus one row here.
+     */
+    static constexpr StatField<BpOsdStats, size_t> kCounters[] = {
+        {"decodes", &BpOsdStats::decodes},
+        {"bp_converged", &BpOsdStats::bpConverged},
+        {"osd_invocations", &BpOsdStats::osdInvocations},
+        {"osd_failures", &BpOsdStats::osdFailures},
+        {"trivial_shots", &BpOsdStats::trivialShots},
+        {"memo_hits", &BpOsdStats::memoHits},
+        {"bp_iterations", &BpOsdStats::bpIterations},
+        {"wave_groups", &BpOsdStats::waveGroups},
+        {"wave_lane_slots", &BpOsdStats::waveLaneSlots},
+        {"wave_lanes_filled", &BpOsdStats::waveLanesFilled},
+        {"osd_batch_groups", &BpOsdStats::osdBatchGroups},
+        {"osd_shared_pivots", &BpOsdStats::osdSharedPivots},
+        {"staged_chunks", &BpOsdStats::stagedChunks},
+    };
+
+    /** Add every counter of `other`; adopt its backend if unset. */
+    void merge(const BpOsdStats& other);
+
+    /** Fraction of decodes on which BP converged (trivial included). */
+    double bpConvergedFraction() const;
 
     /** Fraction of decodes resolved by the zero-syndrome fast path. */
     double trivialFraction() const;

@@ -68,15 +68,8 @@ LatencyHistogram::quantileUs(double q) const
 void
 StreamDecodeStats::merge(const StreamDecodeStats& other)
 {
-    windows += other.windows;
-    roundsPushed += other.roundsPushed;
-    truncatedRounds += other.truncatedRounds;
-    flushesFull += other.flushesFull;
-    flushesDeadline += other.flushesDeadline;
-    flushesFinal += other.flushesFinal;
-    slabSlots += other.slabSlots;
-    slabFilled += other.slabFilled;
-    deadlineMisses += other.deadlineMisses;
+    for (const auto& c : kCounters)
+        this->*c.member += other.*c.member;
     if (deadlineUs == 0.0)
         deadlineUs = other.deadlineUs;
     latencySumUs += other.latencySumUs;
@@ -87,9 +80,9 @@ StreamDecodeStats::merge(const StreamDecodeStats& other)
 void
 StreamDecodeStats::computePercentiles()
 {
-    p50Us = latency.quantileUs(0.50);
-    p99Us = latency.quantileUs(0.99);
-    p999Us = latency.quantileUs(0.999);
+    p50Us = std::min(latency.quantileUs(0.50), latencyMaxUs);
+    p99Us = std::min(latency.quantileUs(0.99), latencyMaxUs);
+    p999Us = std::min(latency.quantileUs(0.999), latencyMaxUs);
 }
 
 StreamDecoder::StreamDecoder(BpOsdDecoder& decoder, size_t numDetectors,

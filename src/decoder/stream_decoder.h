@@ -127,10 +127,37 @@ struct StreamDecodeStats
     double p99Us = 0.0;
     double p999Us = 0.0;
 
+    /** Counters a checkpoint carries. */
+    static constexpr StatField<StreamDecodeStats, size_t> kCounters[] = {
+        {"windows", &StreamDecodeStats::windows},
+        {"rounds_pushed", &StreamDecodeStats::roundsPushed},
+        {"truncated_rounds", &StreamDecodeStats::truncatedRounds},
+        {"deadline_misses", &StreamDecodeStats::deadlineMisses},
+        {"slab_slots", &StreamDecodeStats::slabSlots},
+        {"slab_filled", &StreamDecodeStats::slabFilled},
+        {"flushes_full", &StreamDecodeStats::flushesFull},
+        {"flushes_deadline", &StreamDecodeStats::flushesDeadline},
+        {"flushes_final", &StreamDecodeStats::flushesFinal},
+    };
+
+    /** Scalars a checkpoint carries (the histogram is not persisted:
+     *  its percentiles ride along and restore verbatim). */
+    static constexpr StatField<StreamDecodeStats, double> kScalars[] = {
+        {"deadline_us", &StreamDecodeStats::deadlineUs},
+        {"latency_sum_us", &StreamDecodeStats::latencySumUs},
+        {"latency_max_us", &StreamDecodeStats::latencyMaxUs},
+        {"latency_p50_us", &StreamDecodeStats::p50Us},
+        {"latency_p99_us", &StreamDecodeStats::p99Us},
+        {"latency_p999_us", &StreamDecodeStats::p999Us},
+    };
+
     /** Bin-wise / additive merge of another worker's stats. */
     void merge(const StreamDecodeStats& other);
 
-    /** Recompute p50/p99/p999 from the merged histogram. */
+    /**
+     * Recompute p50/p99/p999 from the merged histogram, clamped to
+     * latencyMaxUs (a bin midpoint can lie above every sample).
+     */
     void computePercentiles();
 
     double

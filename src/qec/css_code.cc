@@ -64,29 +64,28 @@ independentOf(const GF2Matrix& base, const std::vector<BitVec>& candidates,
 void
 CssCode::computeLogicals() const
 {
-    if (logicalsDone_)
-        return;
-    GF2Matrix dx = hx_.toDense();
-    GF2Matrix dz = hz_.toDense();
-    // Logical Z: in ker(Hx), independent of rowspace(Hz).
-    logicalZ_ = independentOf(dz, dx.nullspaceBasis(), k_);
-    // Logical X: in ker(Hz), independent of rowspace(Hx).
-    logicalX_ = independentOf(dx, dz.nullspaceBasis(), k_);
-    logicalsDone_ = true;
+    std::call_once(logicals_->once, [this] {
+        GF2Matrix dx = hx_.toDense();
+        GF2Matrix dz = hz_.toDense();
+        // Logical Z: in ker(Hx), independent of rowspace(Hz).
+        logicals_->z = independentOf(dz, dx.nullspaceBasis(), k_);
+        // Logical X: in ker(Hz), independent of rowspace(Hx).
+        logicals_->x = independentOf(dx, dz.nullspaceBasis(), k_);
+    });
 }
 
 const std::vector<BitVec>&
 CssCode::logicalZ() const
 {
     computeLogicals();
-    return logicalZ_;
+    return logicals_->z;
 }
 
 const std::vector<BitVec>&
 CssCode::logicalX() const
 {
     computeLogicals();
-    return logicalX_;
+    return logicals_->x;
 }
 
 size_t
@@ -102,9 +101,9 @@ CssCode::distanceUpperBound(size_t iterations, Rng& rng) const
         if (w > 0)
             best = std::min(best, w);
     };
-    for (const BitVec& l : logicalZ_)
+    for (const BitVec& l : logicals_->z)
         consider(l);
-    for (const BitVec& l : logicalX_)
+    for (const BitVec& l : logicals_->x)
         consider(l);
 
     // Random coset exploration: add random stabilizer combinations to a
@@ -113,7 +112,7 @@ CssCode::distanceUpperBound(size_t iterations, Rng& rng) const
     GF2Matrix dx = hx_.toDense();
     for (size_t it = 0; it < iterations; ++it) {
         bool z_side = rng.bernoulli(0.5);
-        const auto& logicals = z_side ? logicalZ_ : logicalX_;
+        const auto& logicals = z_side ? logicals_->z : logicals_->x;
         const GF2Matrix& stabs = z_side ? dz : dx;
         BitVec v = logicals[rng.below(logicals.size())];
         // Greedy weight descent over random stabilizer additions.

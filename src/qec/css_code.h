@@ -8,6 +8,8 @@
 #define CYCLONE_QEC_CSS_CODE_H
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -24,7 +26,9 @@ enum class StabKind { X, Z };
  *
  * Rows of hx are X stabilizers (each acts as X on its support), rows of
  * hz are Z stabilizers. The CSS condition hx hz^T = 0 is checked at
- * construction. Logical operator representatives are computed lazily.
+ * construction. Logical operator representatives are computed lazily,
+ * once, and are safe to request from several threads at a time;
+ * copies of a code share them.
  */
 class CssCode
 {
@@ -95,9 +99,16 @@ class CssCode
     size_t nominalDistance_ = 0;
     size_t k_ = 0;
 
-    mutable bool logicalsDone_ = false;
-    mutable std::vector<BitVec> logicalZ_;
-    mutable std::vector<BitVec> logicalX_;
+    /** The lazily filled logical basis, held by pointer so the code
+     *  stays copyable (copies have identical checks, hence basis). */
+    struct LogicalBasis
+    {
+        std::once_flag once;
+        std::vector<BitVec> z;
+        std::vector<BitVec> x;
+    };
+    std::shared_ptr<LogicalBasis> logicals_ =
+        std::make_shared<LogicalBasis>();
 };
 
 } // namespace cyclone

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,21 +152,9 @@ expectTasksIdentical(const CampaignResult& a, const CampaignResult& b)
         EXPECT_EQ(x.stoppedEarly, y.stoppedEarly);
         EXPECT_EQ(x.demDetectors, y.demDetectors);
         EXPECT_EQ(x.demMechanisms, y.demMechanisms);
-        EXPECT_EQ(x.decoder.decodes, y.decoder.decodes);
-        EXPECT_EQ(x.decoder.bpConverged, y.decoder.bpConverged);
-        EXPECT_EQ(x.decoder.osdInvocations, y.decoder.osdInvocations);
-        EXPECT_EQ(x.decoder.osdFailures, y.decoder.osdFailures);
-        EXPECT_EQ(x.decoder.trivialShots, y.decoder.trivialShots);
-        EXPECT_EQ(x.decoder.memoHits, y.decoder.memoHits);
-        EXPECT_EQ(x.decoder.bpIterations, y.decoder.bpIterations);
-        EXPECT_EQ(x.decoder.waveGroups, y.decoder.waveGroups);
-        EXPECT_EQ(x.decoder.waveLaneSlots, y.decoder.waveLaneSlots);
-        EXPECT_EQ(x.decoder.waveLanesFilled,
-                  y.decoder.waveLanesFilled);
-        EXPECT_EQ(x.decoder.osdBatchGroups, y.decoder.osdBatchGroups);
-        EXPECT_EQ(x.decoder.osdSharedPivots,
-                  y.decoder.osdSharedPivots);
-        EXPECT_EQ(x.decoder.stagedChunks, y.decoder.stagedChunks);
+        for (const auto& c : BpOsdStats::kCounters)
+            EXPECT_EQ(x.decoder.*c.member, y.decoder.*c.member)
+                << c.name;
         EXPECT_EQ(x.error, y.error);
     }
 }
@@ -194,7 +183,9 @@ TEST(SpoolSerde, ShardDescriptorRoundTrip)
                  std::runtime_error);
 }
 
-TEST(SpoolSerde, ShardRecordRoundTripAndBackCompat)
+/** A record with every counter distinct and non-zero. */
+ShardRecord
+sampleRecord()
 {
     ShardRecord r;
     r.task = 2;
@@ -203,21 +194,16 @@ TEST(SpoolSerde, ShardRecordRoundTripAndBackCompat)
     r.shots = 640;
     r.failures = 13;
     r.seconds = 0.6251397;
-    r.decoder.decodes = 640;
-    r.decoder.bpConverged = 600;
-    r.decoder.osdInvocations = 40;
-    r.decoder.osdFailures = 2;
-    r.decoder.trivialShots = 100;
-    r.decoder.memoHits = 50;
-    r.decoder.bpIterations = 9000;
-    r.decoder.waveGroups = 11;
-    r.decoder.waveLaneSlots = 88;
-    r.decoder.waveLanesFilled = 80;
-    r.decoder.osdBatchGroups = 5;
-    r.decoder.osdSharedPivots = 77;
-    r.decoder.stagedChunks = 10;
+    size_t v = 100;
+    for (const auto& c : BpOsdStats::kCounters)
+        r.decoder.*c.member = v++;
     r.decoder.backend = "avx512";
+    return r;
+}
 
+TEST(SpoolSerde, ShardRecordRoundTrip)
+{
+    const ShardRecord r = sampleRecord();
     const ShardRecord p = parseShardRecord(formatShardRecord(r));
     EXPECT_EQ(p.task, r.task);
     EXPECT_EQ(p.shard, r.shard);
@@ -225,47 +211,16 @@ TEST(SpoolSerde, ShardRecordRoundTripAndBackCompat)
     EXPECT_EQ(p.shots, r.shots);
     EXPECT_EQ(p.failures, r.failures);
     EXPECT_EQ(p.seconds, r.seconds);
-    EXPECT_EQ(p.decoder.decodes, r.decoder.decodes);
-    EXPECT_EQ(p.decoder.osdSharedPivots, r.decoder.osdSharedPivots);
-    EXPECT_EQ(p.decoder.stagedChunks, r.decoder.stagedChunks);
+    for (const auto& c : BpOsdStats::kCounters)
+        EXPECT_EQ(p.decoder.*c.member, r.decoder.*c.member) << c.name;
     EXPECT_EQ(p.decoder.backend, "avx512");
 
-    // Back-compat *within* the checksummed envelope: a short decoder
-    // line (an older counter layout) loads with the rest zero-filled.
-    const std::string old = withCrcLine(
-        "cyclone-shard-result v2\n"
-        "shard 1 2 00000000000000ff 100 5 1.5\n"
-        "decoder 100 90 10 1\n");
-    const ShardRecord q = parseShardRecord(old);
-    EXPECT_EQ(q.shots, 100u);
-    EXPECT_EQ(q.decoder.decodes, 100u);
-    EXPECT_EQ(q.decoder.osdFailures, 1u);
-    EXPECT_EQ(q.decoder.trivialShots, 0u);
-    EXPECT_EQ(q.decoder.stagedChunks, 0u);
-
-    // A future record with MORE decoder fields than we know must be
-    // rejected, never silently truncated.
-    const std::string future = withCrcLine(
-        "cyclone-shard-result v2\n"
-        "shard 1 2 00000000000000ff 100 5 1.5\n"
-        "decoder 1 2 3 4 5 6 7 8 9 10 11 12 13 14\n");
-    EXPECT_THROW(parseShardRecord(future), std::runtime_error);
-
-    // Too few is malformed too (below the oldest known format).
-    const std::string tiny = withCrcLine(
-        "cyclone-shard-result v2\n"
-        "shard 1 2 00000000000000ff 100 5 1.5\n"
-        "decoder 1 2\n");
-    EXPECT_THROW(parseShardRecord(tiny), std::runtime_error);
-
-    // An un-checksummed record (the pre-CRC v1 format, or a write
-    // torn inside the payload) is corrupt, not merely unversioned:
-    // torn-write detection hangs on the CRC line being mandatory.
-    const std::string v1 =
-        "cyclone-shard-result v1\n"
-        "shard 1 2 00000000000000ff 100 5 1.5\n"
-        "decoder 100 90 10 1\n";
-    EXPECT_THROW(parseShardRecord(v1), CorruptSpoolError);
+    // An un-checksummed record (a write torn inside the payload) is
+    // corrupt, not merely unversioned: torn-write detection hangs on
+    // the CRC line being mandatory.
+    std::string bare = formatShardRecord(r);
+    bare.resize(bare.rfind("crc "));
+    EXPECT_THROW(parseShardRecord(bare), CorruptSpoolError);
 
     // Flipping one payload byte fails the checksum.
     std::string flipped = formatShardRecord(r);
@@ -280,6 +235,150 @@ TEST(SpoolSerde, ShardRecordRoundTripAndBackCompat)
         EXPECT_THROW(parseShardRecord(whole.substr(0, cut)),
                      std::runtime_error)
             << "cut at " << cut;
+}
+
+/** Re-seal `doc` after applying `edit` to its payload, so only the
+ *  edit (never the checksum) can make it invalid. */
+std::string
+resealed(const std::string& doc,
+         const std::function<std::string(std::string)>& edit)
+{
+    return withCrcLine(edit(checkCrcLine(doc, "test document")));
+}
+
+/** `doc` with the value of the first `key` line replaced. */
+std::string
+withValue(std::string doc, const std::string& key,
+          const std::string& value)
+{
+    const size_t at = doc.find("\n" + key + " ") + 1;
+    const size_t end = doc.find('\n', at);
+    return doc.replace(at, end - at, key + " " + value);
+}
+
+/** `doc` with the first `key` line duplicated (or, with `drop`,
+ *  removed). */
+std::string
+editLine(std::string doc, const std::string& key, bool drop)
+{
+    const size_t at = doc.find("\n" + key + " ") + 1;
+    const size_t end = doc.find('\n', at) + 1;
+    const std::string line = doc.substr(at, end - at);
+    return drop ? doc.erase(at, end - at) : doc.insert(at, line);
+}
+
+/**
+ * The strict codec boundary, one table over every document kind:
+ * shard records, worker stats, checkpoints, and the coordinator
+ * journal (a checkpoint document read through the spool). Each
+ * malformed variant must throw std::runtime_error, and loading a
+ * rejected checkpoint must leave the destination untouched.
+ */
+TEST(SpoolSerde, StrictParsingRejectsMalformedDocuments)
+{
+    TaskResult task;
+    task.contentHash = 0x00000000deadbeefull;
+    task.rounds = 6;
+    task.logicalErrorRate = estimateRate(7, 1000);
+    task.decoder = sampleRecord().decoder;
+    const std::string checkpoint = formatCheckpoint({task});
+
+    WorkerReport report;
+    report.shots = 4200;
+    report.cache.demMisses = 4;
+
+    struct Kind
+    {
+        const char* name;
+        std::string valid;
+        const char* numberKey; ///< a decimal count field
+        const char* hashKey;   ///< a hex field (null: none)
+        std::string oldMagic;  ///< the previous version's magic line
+        std::function<void(const std::string&)> parse;
+    };
+    const std::vector<Kind> kinds = {
+        {"shard record", formatShardRecord(sampleRecord()), "shots",
+         "content_hash", "cyclone-shard-result v2",
+         [](const std::string& t) { parseShardRecord(t); }},
+        {"worker stats", formatWorkerStats(report), "shots", nullptr,
+         "cyclone-worker-stats v1",
+         [](const std::string& t) { parseWorkerStats(t); }},
+        {"checkpoint", checkpoint, "failures", "task",
+         "cyclone-campaign-checkpoint v1",
+         [](const std::string& t) { parseCheckpoint(t); }},
+        {"journal", checkpoint, "decodes", "task",
+         "cyclone-coord-journal v1",
+         [](const std::string& t) {
+             ScratchDir scratch("spool-strict-journal");
+             Spool spool(scratch.path);
+             SpoolManifest m;
+             spool.initialize(m, "name = journal\n");
+             spool.writeJournal(t);
+             std::string text;
+             ASSERT_TRUE(spool.readJournal(text));
+             parseCheckpoint(text);
+         }},
+    };
+
+    using Edit = std::function<std::string(std::string)>;
+    for (const Kind& k : kinds) {
+        ASSERT_NO_THROW(k.parse(k.valid)) << k.name;
+        const std::string n = k.numberKey;
+        std::vector<std::pair<std::string, Edit>> cases = {
+            {"trailing garbage",
+             [&](std::string d) { return withValue(d, n, "100abc"); }},
+            {"negative",
+             [&](std::string d) { return withValue(d, n, "-1"); }},
+            {"plus sign",
+             [&](std::string d) { return withValue(d, n, "+1"); }},
+            {"overflow", [&](std::string d) {
+                 return withValue(d, n, "99999999999999999999999");
+             }},
+            {"empty value",
+             [&](std::string d) { return withValue(d, n, ""); }},
+            {"not a number",
+             [&](std::string d) { return withValue(d, n, "oops"); }},
+            {"duplicate key",
+             [&](std::string d) { return editLine(d, n, false); }},
+            {"missing key",
+             [&](std::string d) { return editLine(d, n, true); }},
+            {"unknown key",
+             [&](std::string d) { return d + "bogus 1\n"; }},
+            {"old version", [&](std::string d) {
+                 return k.oldMagic + d.substr(d.find('\n'));
+             }},
+        };
+        if (k.hashKey != nullptr) {
+            const std::string h = k.hashKey;
+            cases.push_back({"bad hash", [h](std::string d) {
+                                 return withValue(d, h, "zz00ff");
+                             }});
+            cases.push_back({"hex prefix", [h](std::string d) {
+                                 return withValue(d, h, "0xdeadbeef");
+                             }});
+        }
+        for (const auto& [label, edit] : cases)
+            EXPECT_THROW(k.parse(resealed(k.valid, edit)),
+                         std::runtime_error)
+                << k.name << ": " << label;
+        std::string flipped = k.valid;
+        flipped[flipped.find('\n') + 2] ^= 1;
+        EXPECT_THROW(k.parse(flipped), CorruptSpoolError) << k.name;
+    }
+
+    // A rejected checkpoint file loads nothing.
+    ScratchDir scratch("spool-strict-checkpoint");
+    ASSERT_EQ(::mkdir(scratch.path.c_str(), 0777), 0);
+    const std::string path = scratch.path + "/sweep.ckpt";
+    ASSERT_TRUE(writeTextFile(path, resealed(checkpoint, [](std::string d) {
+        return withValue(d, "shots", "-1");
+    })));
+    CampaignCheckpoint out;
+    out.tasks[1] = task;
+    EXPECT_THROW(loadCheckpoint(path, out), std::runtime_error);
+    ASSERT_EQ(out.tasks.size(), 1u);
+    EXPECT_EQ(out.tasks.count(1), 1u);
+    EXPECT_FALSE(loadCheckpoint(path + ".missing", out));
 }
 
 TEST(SpoolSerde, ManifestRoundTrip)
@@ -303,30 +402,16 @@ TEST(SpoolSerde, ManifestRoundTrip)
 TEST(SpoolSerde, WorkerStatsRoundTrip)
 {
     WorkerReport r;
-    r.shardsRun = 7;
-    r.shots = 4200;
-    r.failures = 33;
-    r.cache.compileHits = 1;
-    r.cache.compileMisses = 2;
-    r.cache.compileStoreHits = 2;
-    r.cache.compileBytes = 12345;
-    r.cache.demHits = 3;
-    r.cache.demMisses = 4;
-    r.cache.demStoreHits = 4;
-    r.cache.demBytes = 6789;
-    r.cache.quarantinedBlobs = 2;
-    r.transientRetries = 5;
-    r.promotions = 1;
+    size_t v = 1;
+    for (const auto& c : WorkerReport::kCounters)
+        r.*c.member = v++;
+    for (const auto& c : CacheStats::kCounters)
+        r.cache.*c.member = v++;
     const WorkerReport p = parseWorkerStats(formatWorkerStats(r));
-    EXPECT_EQ(p.shardsRun, r.shardsRun);
-    EXPECT_EQ(p.shots, r.shots);
-    EXPECT_EQ(p.failures, r.failures);
-    EXPECT_EQ(p.cache.compileMisses, r.cache.compileMisses);
-    EXPECT_EQ(p.cache.compileStoreHits, r.cache.compileStoreHits);
-    EXPECT_EQ(p.cache.demBytes, r.cache.demBytes);
-    EXPECT_EQ(p.cache.quarantinedBlobs, r.cache.quarantinedBlobs);
-    EXPECT_EQ(p.transientRetries, r.transientRetries);
-    EXPECT_EQ(p.promotions, r.promotions);
+    for (const auto& c : WorkerReport::kCounters)
+        EXPECT_EQ(p.*c.member, r.*c.member) << c.name;
+    for (const auto& c : CacheStats::kCounters)
+        EXPECT_EQ(p.cache.*c.member, r.cache.*c.member) << c.name;
 }
 
 TEST(SpoolSerde, ShardPlanningHelpers)
@@ -638,7 +723,7 @@ TEST(SpoolProtocol, WorkerHealthAgeSurvivesWallClockStep)
     EXPECT_LT(spool.workerHealthAge("w1"), 0.02);
 }
 
-TEST(SpoolProtocol, JournalRoundTripThroughSpool)
+TEST(SpoolProtocol, JournalIsACheckpointThroughSpool)
 {
     ScratchDir scratch("spool-journal");
     Spool spool(scratch.path);
@@ -650,39 +735,28 @@ TEST(SpoolProtocol, JournalRoundTripThroughSpool)
     std::string out;
     EXPECT_FALSE(spool.readJournal(out));
 
-    JournalEntry e;
-    e.task = 2;
-    e.contentHash = 0xabcdef0123456789ull;
-    e.shots = 1200;
-    e.failures = 17;
-    e.chunks = 24;
-    e.stoppedEarly = true;
-    e.sampleSeconds = 0.125;
-    e.decoder.decodes = 1200;
-    e.decoder.bpIterations = 31337;
-    e.decoder.backend = "avx512";
-    spool.writeJournal(formatCoordJournal({e}));
+    TaskResult t;
+    t.contentHash = 0xabcdef0123456789ull;
+    t.rounds = 3;
+    t.logicalErrorRate = estimateRate(17, 1200);
+    t.chunks = 24;
+    t.stoppedEarly = true;
+    t.sampleSeconds = 0.1 + 0.2; // not exactly representable in %.6f
+    t.decoder = sampleRecord().decoder;
+    spool.writeJournal(formatCheckpoint({t}));
 
     ASSERT_TRUE(spool.readJournal(out));
-    const std::vector<JournalEntry> back = parseCoordJournal(out);
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].task, e.task);
-    EXPECT_EQ(back[0].contentHash, e.contentHash);
-    EXPECT_EQ(back[0].shots, e.shots);
-    EXPECT_EQ(back[0].failures, e.failures);
-    EXPECT_EQ(back[0].chunks, e.chunks);
-    EXPECT_EQ(back[0].stoppedEarly, e.stoppedEarly);
-    EXPECT_EQ(back[0].sampleSeconds, e.sampleSeconds);
-    EXPECT_EQ(back[0].decoder.decodes, e.decoder.decodes);
-    EXPECT_EQ(back[0].decoder.bpIterations, e.decoder.bpIterations);
-    EXPECT_EQ(back[0].decoder.backend, "avx512");
-
-    // A corrupted journal fails its checksum.
-    std::string torn = formatCoordJournal({e});
-    torn[torn.size() / 2] ^= 1;
-    EXPECT_THROW(parseCoordJournal(torn), CorruptSpoolError);
-    EXPECT_THROW(parseCoordJournal(torn.substr(0, torn.size() - 9)),
-                 std::runtime_error);
+    const CampaignCheckpoint back = parseCheckpoint(out);
+    ASSERT_EQ(back.tasks.size(), 1u);
+    const TaskResult& r = back.tasks.at(t.contentHash);
+    EXPECT_EQ(r.logicalErrorRate.trials, 1200u);
+    EXPECT_EQ(r.logicalErrorRate.successes, 17u);
+    EXPECT_EQ(r.chunks, t.chunks);
+    EXPECT_EQ(r.stoppedEarly, t.stoppedEarly);
+    EXPECT_EQ(r.sampleSeconds, t.sampleSeconds);
+    for (const auto& c : BpOsdStats::kCounters)
+        EXPECT_EQ(r.decoder.*c.member, t.decoder.*c.member) << c.name;
+    EXPECT_EQ(r.decoder.backend, "avx512");
 }
 
 TEST(ArtifactSerde, DemRoundTripIsBitExact)

@@ -349,6 +349,22 @@ TEST(StreamDecoder, StatsMergeIsAdditive)
     EXPECT_GE(a.p999Us, a.p99Us);
 }
 
+TEST(StreamDecoder, PercentilesNeverExceedTheObservedMax)
+{
+    // One 91 us sample: its bin midpoint lies near 98.7 us, above
+    // every latency that was actually observed.
+    StreamDecodeStats s;
+    s.windows = 1;
+    s.latencySumUs = 91.0;
+    s.latencyMaxUs = 91.0;
+    s.latency.record(91.0);
+    ASSERT_GT(s.latency.quantileUs(0.5), 91.0);
+    s.computePercentiles();
+    EXPECT_EQ(s.p50Us, 91.0);
+    EXPECT_EQ(s.p99Us, 91.0);
+    EXPECT_EQ(s.p999Us, 91.0);
+}
+
 TEST(StreamDecoder, ChunkGroupStreamedMatchesOfflineChunkGroup)
 {
     const DetectorErrorModel dem = chainDem(12, 0.15);
