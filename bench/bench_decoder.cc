@@ -92,6 +92,7 @@ attachDecoderCounters(benchmark::State& state, const BpOsdStats& stats)
     state.counters["memo_rate"] = stats.memoHitRate();
     state.counters["mean_bp_iters"] = stats.meanBpIterations();
     state.counters["wave_occupancy"] = stats.waveLaneOccupancy();
+    state.counters["lane_util"] = stats.waveLaneUtilization();
 }
 
 void
@@ -467,13 +468,14 @@ writeBenchJson(const CaptureReporter& reporter)
                 "    {\"name\": \"%s\", \"path\": \"%s\", \"p\": %g, "
                 "\"shots_per_sec\": %.6g, \"trivial_frac\": %.6g, "
                 "\"memo_rate\": %.6g, \"mean_bp_iters\": %.6g, "
-                "\"wave_occupancy\": %.6g}",
+                "\"wave_occupancy\": %.6g, \"lane_util\": %.6g}",
                 spec.name.c_str(), spec.path.c_str(), spec.p,
                 reporter.value(spec.name, "shots_per_sec"),
                 reporter.value(spec.name, "trivial_frac"),
                 reporter.value(spec.name, "memo_rate"),
                 reporter.value(spec.name, "mean_bp_iters"),
-                reporter.value(spec.name, "wave_occupancy"));
+                reporter.value(spec.name, "wave_occupancy"),
+                reporter.value(spec.name, "lane_util"));
         }
         out << buf;
     }

@@ -375,13 +375,15 @@ main(int argc, char** argv)
         std::fprintf(stderr,
                      "[%s] %zu tasks, %zu shots, wall %.1fs, decoder "
                      "trivial %.1f%% / memo %.1f%% / mean BP iters "
-                     "%.1f / wave occupancy %.0f%% [backend %s]\n",
+                     "%.1f / wave occupancy %.0f%% / lane utilization "
+                     "%.0f%% [backend %s]\n",
                      result.name.c_str(), result.tasks.size(),
                      result.totalShots(), result.wallSeconds,
                      100.0 * decoder.trivialFraction(),
                      100.0 * decoder.memoHitRate(),
                      decoder.meanBpIterations(),
                      100.0 * decoder.waveLaneOccupancy(),
+                     100.0 * decoder.waveLaneUtilization(),
                      decoder.backend.empty() ? "none"
                                              : decoder.backend.c_str());
         printCounters("cache", result.cache, CacheStats::kCounters);

@@ -50,7 +50,7 @@ num(double v)
     return buf;
 }
 
-constexpr const char* kCheckpointMagic = "cyclone-campaign-checkpoint v2";
+constexpr const char* kCheckpointMagic = "cyclone-campaign-checkpoint v3";
 
 /**
  * Decoder counters the CSV carried before the counter table: they
@@ -266,7 +266,9 @@ campaignResultToJson(const CampaignResult& result)
             << ", \"mean_bp_iterations\": "
             << num(t.decoder.meanBpIterations())
             << ", \"wave_lane_occupancy\": "
-            << num(t.decoder.waveLaneOccupancy()) << "}";
+            << num(t.decoder.waveLaneOccupancy())
+            << ", \"wave_lane_utilization\": "
+            << num(t.decoder.waveLaneUtilization()) << "}";
         if (t.streamed) {
             const StreamDecodeStats& s = t.stream;
             out << ",\n     \"streaming\": {\"windows\": " << s.windows
@@ -280,7 +282,8 @@ campaignResultToJson(const CampaignResult& result)
                 << num(s.p50Us) << ", \"latency_p99_us\": "
                 << num(s.p99Us) << ", \"latency_p999_us\": "
                 << num(s.p999Us) << ", \"latency_mean_us\": "
-                << num(s.meanLatencyUs()) << ", \"latency_max_us\": "
+                << num(s.meanLatencyUs()) << ", \"latency_min_us\": "
+                << num(s.latencyMinUs) << ", \"latency_max_us\": "
                 << num(s.latencyMaxUs)
                 << ",\n                   \"slab_slots\": "
                 << s.slabSlots << ", \"slab_filled\": " << s.slabFilled
@@ -336,7 +339,8 @@ campaignResultToCsv(const CampaignResult& result)
     out << "id,code,architecture,p,rounds,basis,round_latency_us,shots,"
            "failures,ler,wilson,per_round_ler,chunks,stopped_early,"
            "from_checkpoint,sample_seconds,trivial_fraction,"
-           "memo_hit_rate,mean_bp_iterations,wave_lane_occupancy,";
+           "memo_hit_rate,mean_bp_iterations,wave_lane_occupancy,"
+           "wave_lane_utilization,";
     for (const auto& c : BpOsdStats::kCounters)
         if (inlineCsvCounter(c.name))
             out << c.name << ',';
@@ -368,7 +372,8 @@ campaignResultToCsv(const CampaignResult& result)
             << ',' << num(t.decoder.trivialFraction()) << ','
             << num(t.decoder.memoHitRate()) << ','
             << num(t.decoder.meanBpIterations()) << ','
-            << num(t.decoder.waveLaneOccupancy()) << ',';
+            << num(t.decoder.waveLaneOccupancy()) << ','
+            << num(t.decoder.waveLaneUtilization()) << ',';
         for (const auto& c : BpOsdStats::kCounters)
             if (inlineCsvCounter(c.name))
                 out << t.decoder.*c.member << ',';

@@ -3,7 +3,7 @@
  * The one text codec of serialized task results: checkpoints, the
  * coordinator journal, shard records and worker stats.
  *
- * A document is a magic line ("cyclone-shard-result v3"), then one
+ * A document is a magic line ("cyclone-shard-result v4"), then one
  * `key value` line per field, then a "crc xxxxxxxx" trailer (CRC-32
  * of everything before it). Multi-record documents (checkpoints)
  * repeat the record's keys. Parsing is strict: a bad checksum, a

@@ -22,7 +22,7 @@ namespace cyclone {
 namespace {
 
 constexpr const char* kDescriptorMagic = "cyclone-shard v2";
-constexpr const char* kRecordMagic = "cyclone-shard-result v3";
+constexpr const char* kRecordMagic = "cyclone-shard-result v4";
 constexpr const char* kManifestMagic = "cyclone-spool v1";
 constexpr const char* kLeaseFile = "coord.lease";
 constexpr const char* kJournalFile = "journal.txt";

@@ -78,7 +78,14 @@ BpWaveDecoder::initState()
     synSign_.assign(graph_->numChecks * L, 1.0f);
     msgScratch_.resize(graph_->maxCheckDegree * L);
     tanhScratch_.resize(graph_->maxCheckDegree * L);
-    laneActive_.assign(L, 0);
+    const BpGraph& g = *graph_;
+    initialSyndrome_.resize(g.numChecks);
+    for (size_t c = 0; c < g.numChecks; ++c) {
+        bool parity = false;
+        for (size_t s = g.checkOffset[c]; s < g.checkOffset[c + 1]; ++s)
+            parity ^= g.prior[g.checkEdgeVar[s]] < 0.0f;
+        initialSyndrome_.set(c, parity);
+    }
 }
 
 WaveKernelCtx
@@ -96,7 +103,6 @@ BpWaveDecoder::kernelCtx()
     ctx.synSign = synSign_.data();
     ctx.msgScratch = msgScratch_.data();
     ctx.tanhScratch = tanhScratch_.data();
-    ctx.laneActive = laneActive_.data();
     ctx.clamp = clamp_;
     ctx.minSumScale = minSumScale_;
     return ctx;
@@ -121,78 +127,105 @@ BpWaveDecoder::verifyWave() const
 }
 
 void
-BpWaveDecoder::runWave(size_t count)
+BpWaveDecoder::loadLane(size_t lane, const BitVec& syndrome)
 {
-    const bool min_sum = options_.variant == BpOptions::Variant::MinSum;
-    if (min_sum && kernels_->minSumCompressed) {
-        std::fill(checkMin1_.begin(), checkMin1_.end(), 0.0f);
-        std::fill(checkMin2_.begin(), checkMin2_.end(), 0.0f);
-        std::fill(edgeSignBits_.begin(), edgeSignBits_.end(), 0u);
-        std::fill(edgeMinBits_.begin(), edgeMinBits_.end(), 0u);
+    const BpGraph& g = *graph_;
+    CYCLONE_ASSERT(syndrome.size() == g.numChecks,
+                   "syndrome length mismatch: " << syndrome.size()
+                   << " vs " << g.numChecks);
+    const size_t L = laneWidth_;
+    const uint64_t bit = uint64_t{1} << lane;
+    for (size_t c = 0; c < g.numChecks; ++c) {
+        const bool set = syndrome.get(c);
+        synMask_[c] = (synMask_[c] & ~bit) | (set ? bit : 0);
+        synSign_[c * L + lane] = set ? -1.0f : 1.0f;
+    }
+    // All-zero messages.
+    if (options_.variant == BpOptions::Variant::MinSum &&
+        kernels_->minSumCompressed) {
+        for (size_t c = 0; c < g.numChecks; ++c) {
+            checkMin1_[c * L + lane] = 0.0f;
+            checkMin2_[c * L + lane] = 0.0f;
+        }
+        const uint32_t keep = ~static_cast<uint32_t>(bit);
+        for (size_t s = 0; s < g.numEdges; ++s) {
+            edgeSignBits_[s] &= keep;
+            edgeMinBits_[s] &= keep;
+        }
     } else {
-        std::fill(msg_.begin(), msg_.end(), 0.0f);
+        for (size_t s = 0; s < g.numEdges; ++s)
+            msg_[s * L + lane] = 0.0f;
     }
-    std::fill(hardMask_.begin(), hardMask_.end(), 0);
-    activeMask_ = count == 64 ? ~uint64_t{0}
-                              : ((uint64_t{1} << count) - 1);
-    const uint64_t initialActive = activeMask_;
-    convergedMask_ = 0;
-    for (size_t l = 0; l < laneWidth_; ++l) {
-        laneActive_[l] = l < count ? ~uint32_t{0} : 0;
-        iterations_[l] = 0;
+    // The iteration-0 posterior pass over zero messages adds +0.0f to
+    // each prior, which leaves every prior (never -0.0f) unchanged.
+    for (size_t v = 0; v < g.numVars; ++v) {
+        posterior_[v * L + lane] = g.prior[v];
+        hardMask_[v] = (hardMask_[v] & ~bit) |
+            (g.prior[v] < 0.0f ? bit : 0);
     }
+    iterations_[lane] = 0;
+}
 
+size_t
+BpWaveDecoder::decodeAll(const BitVec* const* syndromes, size_t count,
+                         const RetireFn& onRetire)
+{
+    const size_t L = laneWidth_;
+    const bool min_sum = options_.variant == BpOptions::Variant::MinSum;
     const WaveKernelCtx ctx = kernelCtx();
+    const auto check_pass =
+        min_sum ? kernels_->checkMinSum : kernels_->checkProdSum;
     const auto posterior_pass = min_sum ? kernels_->posteriorUpdateMinSum
                                         : kernels_->posteriorUpdate;
-    for (size_t iter = 0; iter < options_.maxIterations; ++iter) {
+    size_t laneIndex[64];
+    size_t next = 0;
+    auto retire = [&](size_t l, bool converged) {
+        const uint64_t bit = uint64_t{1} << l;
+        convergedMask_ = (convergedMask_ & ~bit) | (converged ? bit : 0);
+        onRetire(laneIndex[l], l);
+    };
+    // Load pending syndromes into lane l until one needs a check pass:
+    // a loaded lane holds its iteration-0 hard decision, whose syndrome
+    // is initialSyndrome_, so that verification is one comparison.
+    auto fill = [&](size_t l) -> uint64_t {
+        while (next < count) {
+            laneIndex[l] = next;
+            const BitVec& syndrome = *syndromes[next++];
+            loadLane(l, syndrome);
+            const bool verified = syndrome == initialSyndrome_;
+            if (!verified && options_.maxIterations > 0)
+                return uint64_t{1} << l;
+            retire(l, verified);
+        }
+        return 0;
+    };
+    uint64_t live = 0;
+    for (size_t l = 0; l < L; ++l)
+        live |= fill(l);
+    size_t steps = 0;
+    while (live != 0) {
+        check_pass(ctx);
         posterior_pass(ctx);
-        // The scalar decoder only re-verifies when a decision bit
-        // moved; verifying every iteration is equivalent (an unmoved
-        // decision re-verifies to the same answer) and here costs one
-        // XOR per edge for all lanes together.
-        const uint64_t verified = verifyWave() & activeMask_;
-        if (verified != 0) {
-            uint64_t pending = verified;
-            while (pending != 0) {
-                const size_t l = static_cast<size_t>(
-                    std::countr_zero(pending));
-                pending &= pending - 1;
-                iterations_[l] = static_cast<uint32_t>(iter);
-                laneActive_[l] = 0;
-            }
-            convergedMask_ |= verified;
-            activeMask_ &= ~verified;
+        ++steps;
+        // Verifying every step is equivalent to the scalar decoder's
+        // change-gated verification (an unmoved decision re-verifies
+        // to the same answer). A lane at its cap has just run the
+        // scalar epilogue: final posterior pass and verification.
+        const uint64_t verified = verifyWave();
+        uint64_t retiring = live & verified;
+        for (uint64_t m = live; m != 0; m &= m - 1) {
+            const size_t l = static_cast<size_t>(std::countr_zero(m));
+            if (++iterations_[l] >= options_.maxIterations)
+                retiring |= uint64_t{1} << l;
         }
-        if (activeMask_ == 0)
-            return;
-        const bool none_frozen = activeMask_ == initialActive;
-        if (min_sum) {
-            if (none_frozen)
-                kernels_->checkMinSum(ctx);
-            else
-                kernels_->checkMinSumMasked(ctx);
-        } else {
-            if (none_frozen)
-                kernels_->checkProdSum(ctx);
-            else
-                kernels_->checkProdSumMasked(ctx);
+        live &= ~retiring;
+        for (uint64_t m = retiring; m != 0; m &= m - 1) {
+            const size_t l = static_cast<size_t>(std::countr_zero(m));
+            retire(l, (verified >> l) & 1);
+            live |= fill(l);
         }
     }
-
-    // Lanes still active ran out of iterations: final posterior pass
-    // and last-chance verification, exactly like the scalar epilogue.
-    posterior_pass(ctx);
-    const uint64_t verified = verifyWave() & activeMask_;
-    uint64_t pending = activeMask_;
-    while (pending != 0) {
-        const size_t l =
-            static_cast<size_t>(std::countr_zero(pending));
-        pending &= pending - 1;
-        iterations_[l] = static_cast<uint32_t>(options_.maxIterations);
-    }
-    convergedMask_ |= verified;
-    activeMask_ = 0;
+    return steps;
 }
 
 void
@@ -201,26 +234,25 @@ BpWaveDecoder::decodeWave(const BitVec* const* syndromes, size_t count)
     CYCLONE_ASSERT(count >= 1 && count <= laneWidth_,
                    "wave lane count " << count << " out of [1, "
                    << laneWidth_ << "]");
+    // Retired lanes keep iterating or refill, so syndrome i's result
+    // is copied out at retirement and swapped in as lane i's state.
     const size_t L = laneWidth_;
-    for (size_t l = 0; l < count; ++l) {
-        CYCLONE_ASSERT(syndromes[l]->size() == graph_->numChecks,
-                       "lane " << l << " syndrome length mismatch: "
-                       << syndromes[l]->size() << " vs "
-                       << graph_->numChecks);
-    }
-    // Per-check lane masks and sign rows; idle lanes (>= count) carry
-    // the zero syndrome and are frozen from the start.
-    for (size_t c = 0; c < graph_->numChecks; ++c) {
-        uint64_t mask = 0;
-        float* signs = synSign_.data() + c * L;
-        for (size_t l = 0; l < L; ++l) {
-            const bool bit = l < count && syndromes[l]->get(c);
-            mask |= uint64_t{bit} << l;
-            signs[l] = bit ? -1.0f : 1.0f;
+    snapPosterior_.resize(posterior_.size());
+    snapHard_.assign(hardMask_.size(), 0);
+    uint64_t converged = 0;
+    uint32_t iterations[64] = {};
+    decodeAll(syndromes, count, [&](size_t i, size_t lane) {
+        converged |= uint64_t{laneConverged(lane)} << i;
+        iterations[i] = iterations_[lane];
+        for (size_t v = 0; v < graph_->numVars; ++v) {
+            snapPosterior_[v * L + i] = posterior_[v * L + lane];
+            snapHard_[v] |= ((hardMask_[v] >> lane) & 1) << i;
         }
-        synMask_[c] = mask;
-    }
-    runWave(count);
+    });
+    posterior_.swap(snapPosterior_);
+    hardMask_.swap(snapHard_);
+    convergedMask_ = converged;
+    std::copy(iterations, iterations + L, iterations_);
 }
 
 void
@@ -239,17 +271,10 @@ BpWaveDecoder::laneHardDecision(size_t lane, BitVec& out) const
     const size_t n = graph_->numVars;
     if (out.size() != n)
         out.resize(n);
-    uint64_t* words = out.words().data();
-    uint64_t word = 0;
-    for (size_t v = 0; v < n; ++v) {
-        word |= ((hardMask_[v] >> lane) & 1) << (v & 63);
-        if ((v & 63) == 63) {
-            words[v >> 6] = word;
-            word = 0;
-        }
-    }
-    if (n & 63)
-        words[n >> 6] = word;
+    std::vector<uint64_t>& words = out.words();
+    std::fill(words.begin(), words.end(), 0);
+    for (size_t v = 0; v < n; ++v)
+        words[v >> 6] |= ((hardMask_[v] >> lane) & 1) << (v & 63);
 }
 
 } // namespace cyclone

@@ -18,24 +18,30 @@
  * table dispatch selected. L is therefore a runtime property here, not
  * a template parameter.
  *
+ * Lanes are persistent (decodeAll): a lane retires when it verifies,
+ * or after maxIterations check passes plus the epilogue posterior pass
+ * and verification — BpDecoder::decode's schedule, per lane. A
+ * callback reads its result, then the lane loads the next pending
+ * syndrome in place, so no lane waits for a slow neighbour.
+ *
  * Bit-exactness invariant: lanes never interact arithmetically. Each
  * lane performs the same float operations, in the same order, as
- * BpDecoder::decode on that lane's syndrome — on every rung. A lane
- * that converges is frozen — the check pass stops overwriting its
- * messages (a masked blend), and because its messages no longer move,
- * the unconditional posterior/hard recompute of later iterations
- * reproduces its values bit-for-bit. Per-lane convergence iterations
- * also match the scalar decoder: verification is evaluated every
- * iteration here, and when the scalar decoder skips verification (no
- * decision bit moved) the skipped result provably equals the reused
- * one. The equivalence is enforced by tests/test_wave_decoder.cc
- * across lane widths and backends.
+ * BpDecoder::decode on that lane's syndrome — on every rung. So the
+ * passes run unmasked: a retired lane with nothing left to load keeps
+ * iterating on its own stale (finite, clamped) state that nothing
+ * reads — its result was copied out at retirement, and a refill
+ * rewrites all lane state the next syndrome reads. Per-lane iteration
+ * counts match too: verification runs every step here, and when the
+ * scalar decoder skips it (no decision bit moved) the skipped result
+ * provably equals the reused one. tests/test_wave_decoder.cc enforces
+ * the equivalence across lane widths, backends and refill patterns.
  */
 
 #ifndef CYCLONE_DECODER_BP_WAVE_DECODER_H
 #define CYCLONE_DECODER_BP_WAVE_DECODER_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -89,11 +95,23 @@ class BpWaveDecoder
     /** Name of the kernel backend driving this decoder. */
     const char* backendName() const { return backend_->name; }
 
+    /** onRetire(index, lane): syndromes[index] retired from `lane`,
+     *  whose accessors hold its result during the call only. */
+    using RetireFn = std::function<void(size_t index, size_t lane)>;
+
     /**
-     * Decode syndromes[0..count) in parallel lanes (count must be in
-     * [1, laneWidth()]). Each syndrome must have numChecks bits. Lane
-     * results are readable through the accessors below until the next
-     * decodeWave call.
+     * Decode syndromes[0..count) (numChecks bits each), refilling each
+     * lane from the list as it retires; onRetire runs once per
+     * syndrome. Returns the check-pass steps run; each pays for
+     * laneWidth() lane-iterations.
+     */
+    size_t decodeAll(const BitVec* const* syndromes, size_t count,
+                     const RetireFn& onRetire);
+
+    /**
+     * One-shot wave: decode syndromes[0..count) (count in
+     * [1, laneWidth()]) and keep syndrome i's result readable as lane
+     * i through the accessors below until the next decode call.
      */
     void decodeWave(const BitVec* const* syndromes, size_t count);
 
@@ -113,12 +131,10 @@ class BpWaveDecoder
     /** Copy lane's hard decision into out (resized to numVars bits). */
     void laneHardDecision(size_t lane, BitVec& out) const;
 
-    size_t numChecks() const { return graph_->numChecks; }
-    size_t numVars() const { return graph_->numVars; }
-
   private:
     void initState();
-    void runWave(size_t count);
+    /** Load `syndrome` into lane with zero messages, at iteration 0. */
+    void loadLane(size_t lane, const BitVec& syndrome);
     /** Lane mask of lanes whose hard decision matches their syndrome. */
     uint64_t verifyWave() const;
     WaveKernelCtx kernelCtx();
@@ -153,10 +169,14 @@ class BpWaveDecoder
     std::vector<float> msgScratch_;  ///< maxCheckDegree x L.
     std::vector<float> tanhScratch_; ///< maxCheckDegree x L.
 
-    /** Per-lane freeze blend: ~0u while active, 0 once converged. */
-    std::vector<uint32_t> laneActive_;
-    uint64_t activeMask_ = 0;
+    /** Syndrome of the iteration-0 hard decision (prior signs). */
+    BitVec initialSyndrome_;
+    /** decodeWave's per-syndrome copies of posterior_/hardMask_. */
+    std::vector<float> snapPosterior_;
+    std::vector<uint64_t> snapHard_;
+
     uint64_t convergedMask_ = 0;
+    /** Per lane: check passes since its syndrome was loaded. */
     uint32_t iterations_[64] = {};
 };
 

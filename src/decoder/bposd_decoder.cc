@@ -16,48 +16,52 @@ BpOsdStats::merge(const BpOsdStats& other)
         backend = other.backend;
 }
 
+namespace {
+
+double
+ratio(size_t num, size_t den)
+{
+    return den == 0
+        ? 0.0
+        : static_cast<double>(num) / static_cast<double>(den);
+}
+
+} // namespace
+
 double
 BpOsdStats::bpConvergedFraction() const
 {
-    return decodes == 0
-        ? 0.0
-        : static_cast<double>(bpConverged) / static_cast<double>(decodes);
+    return ratio(bpConverged, decodes);
 }
 
 double
 BpOsdStats::trivialFraction() const
 {
-    return decodes == 0
-        ? 0.0
-        : static_cast<double>(trivialShots) /
-            static_cast<double>(decodes);
+    return ratio(trivialShots, decodes);
 }
 
 double
 BpOsdStats::memoHitRate() const
 {
-    return decodes == 0
-        ? 0.0
-        : static_cast<double>(memoHits) / static_cast<double>(decodes);
+    return ratio(memoHits, decodes);
 }
 
 double
 BpOsdStats::meanBpIterations() const
 {
-    const size_t bpDecodes = decodes - trivialShots;
-    return bpDecodes == 0
-        ? 0.0
-        : static_cast<double>(bpIterations) /
-            static_cast<double>(bpDecodes);
+    return ratio(bpIterations, decodes - trivialShots);
 }
 
 double
 BpOsdStats::waveLaneOccupancy() const
 {
-    return waveLaneSlots == 0
-        ? 0.0
-        : static_cast<double>(waveLanesFilled) /
-            static_cast<double>(waveLaneSlots);
+    return ratio(waveLanesFilled, waveLaneSlots);
+}
+
+double
+BpOsdStats::waveLaneUtilization() const
+{
+    return ratio(waveLaneItersUseful, waveLaneItersPaid);
 }
 
 BpOsdDecoder::BpOsdDecoder(const DetectorErrorModel& dem, BpOptions options)
@@ -125,10 +129,10 @@ BpOsdDecoder::decodeCore(const BitVec& syndrome)
 void
 BpOsdDecoder::bufferWaveLaneForOsd(size_t lane, uint32_t memoIdx)
 {
-    // Posteriors and hard decisions are only readable until the next
-    // decodeWave call, so stage copies now; the OSD solve itself is
-    // deferred until a full slab (or the end of pass 2) so shots can
-    // share eliminations across wave groups.
+    // Posteriors and hard decisions are only readable until the lane
+    // refills, so stage copies now; the OSD solve itself is deferred
+    // until a full slab (or the end of pass 2) so shots can share
+    // eliminations.
     const size_t num_vars = dem_.mechanisms.size();
     if (osdPosteriors_.size() != kOsdFlushShots * num_vars)
         osdPosteriors_.resize(kOsdFlushShots * num_vars);
@@ -346,55 +350,45 @@ BpOsdDecoder::flushStaged()
     stagedOpen_ = false;
     stagedPredicted_.assign(stagedShots_, 0);
 
-    // Pass 2: decode each distinct syndrome of the pool — lane groups
-    // through the wave kernel, or one at a time through the scalar
+    // Pass 2: decode each distinct syndrome of the pool — through the
+    // refilling wave lanes, or one at a time through the scalar
     // core when the wave kernel is disabled (waveLanes == 1, or no
     // supported backend).
     if (waveEnabled_ && wave_ == nullptr && !memoEntries_.empty())
         wave_ = std::make_unique<BpWaveDecoder>(
             graph_, options_, *backendChoice_.backend);
     if (waveEnabled_ && wave_ != nullptr) {
-        // A lane group iterates until its slowest lane converges, so
-        // group syndromes of similar weight together: weight tracks
-        // BP difficulty, which keeps fast lanes from idling behind
-        // one hard syndrome. Ordering cannot change any outcome —
-        // lanes never interact — it only reduces frozen-lane waste.
-        // The stable sort keeps the grouping deterministic, and with
-        // several chunks staged the pool fills whole L-wide groups
-        // where per-chunk decoding would have emitted ragged tails.
-        laneOrder_.resize(memoEntries_.size());
-        for (size_t i = 0; i < laneOrder_.size(); ++i)
-            laneOrder_[i] = static_cast<uint32_t>(i);
-        std::stable_sort(
-            laneOrder_.begin(), laneOrder_.end(),
-            [&](uint32_t a, uint32_t b) {
-                return memoEntries_[a].weight < memoEntries_[b].weight;
-            });
+        // Lanes refill as they retire, so the stable weight sort only
+        // fixes a deterministic order; lanes never interact, so no
+        // order changes an outcome. (Sorting in place stales
+        // memoIndex_, which the next beginStaged() clears.)
+        std::stable_sort(memoEntries_.begin(), memoEntries_.end(),
+                         [](const MemoEntry& a, const MemoEntry& b) {
+                             return a.weight < b.weight;
+                         });
+        const size_t n = memoEntries_.size();
+        laneSyndromes_.resize(n);
+        for (size_t i = 0; i < n; ++i)
+            laneSyndromes_[i] = &memoEntries_[i].syndrome;
 
         const size_t L = wave_->laneWidth();
-        const BitVec* lanes[64];
+        stats_.waveGroups += (n + L - 1) / L;
+        stats_.waveLaneSlots += (n + L - 1) / L * L;
+        stats_.waveLanesFilled += n;
         osdPending_.clear();
-        for (size_t group = 0; group < laneOrder_.size(); group += L) {
-            const size_t count =
-                std::min(L, laneOrder_.size() - group);
-            for (size_t i = 0; i < count; ++i)
-                lanes[i] = &memoEntries_[laneOrder_[group + i]].syndrome;
-            wave_->decodeWave(lanes, count);
-            ++stats_.waveGroups;
-            stats_.waveLaneSlots += L;
-            stats_.waveLanesFilled += count;
-            for (size_t i = 0; i < count; ++i) {
-                const uint32_t memoIdx = laneOrder_[group + i];
-                MemoEntry& entry = memoEntries_[memoIdx];
-                if (options_.osdBatch && !wave_->laneConverged(i)) {
+        const size_t steps = wave_->decodeAll(
+            laneSyndromes_.data(), n, [&](size_t i, size_t lane) {
+                stats_.waveLaneItersUseful += wave_->laneIterations(lane);
+                if (options_.osdBatch && !wave_->laneConverged(lane)) {
                     // Defer OSD: stage this lane for the batched
                     // solve instead of a scalar solve per lane.
-                    bufferWaveLaneForOsd(i, memoIdx);
-                    continue;
+                    bufferWaveLaneForOsd(lane, static_cast<uint32_t>(i));
+                    return;
                 }
-                entry.outcome = waveLaneOutcome(i, entry.syndrome);
-            }
-        }
+                MemoEntry& entry = memoEntries_[i];
+                entry.outcome = waveLaneOutcome(lane, entry.syndrome);
+            });
+        stats_.waveLaneItersPaid += steps * L;
         flushOsdBatch();
     } else {
         for (MemoEntry& entry : memoEntries_)

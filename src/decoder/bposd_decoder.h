@@ -13,13 +13,13 @@
  * detection events with one packed OR sweep (zero-syndrome shots skip
  * BP entirely), a per-batch memo decodes each distinct syndrome once
  * and replays the result — and its statistics — for duplicates, and
- * the surviving distinct syndromes are decoded L at a time by the
- * lane-parallel wave kernel (bp_wave_decoder.h) of whichever
- * SIMD-ladder backend runtime dispatch selected (decoder_backend.h),
- * whose per-lane posteriors seed OSD exactly as the scalar core would
- * — with non-converged lanes collected across wave groups and solved
- * by the batched OSD stage (OsdDecoder::solveBatch) in slabs of up to
- * 64 shots.
+ * the surviving distinct syndromes stream through the L refilling
+ * lanes of the lane-parallel wave kernel (bp_wave_decoder.h) of
+ * whichever SIMD-ladder backend runtime dispatch selected
+ * (decoder_backend.h), whose per-lane posteriors seed OSD exactly as
+ * the scalar core would — with non-converged lanes collected as they
+ * retire and solved by the batched OSD stage (OsdDecoder::solveBatch)
+ * in slabs of up to 64 shots.
  *
  * decodeBatch() is itself a thin wrapper over the staged interface
  * (beginStaged / stageBatch / flushStaged), which lets a campaign
@@ -76,14 +76,20 @@ struct BpOsdStats
      *  trivial shots contribute zero). */
     size_t bpIterations = 0;
 
-    /** Wave-kernel invocations of the batched decode path. */
+    /** L-wide lane loads: ceil(n / L) per flush of n syndromes. */
     size_t waveGroups = 0;
 
-    /** Lane slots offered across those invocations (groups x width). */
+    /** Lane slots of those L-wide lane loads (groups x width). */
     size_t waveLaneSlots = 0;
 
-    /** Lane slots that carried a real distinct syndrome. */
+    /** Lane slots that carried a real distinct syndrome (n). */
     size_t waveLanesFilled = 0;
+
+    /** Check passes the wave's syndromes needed (no memo replays). */
+    size_t waveLaneItersUseful = 0;
+
+    /** Check-pass steps x lane width the wave kernel paid for. */
+    size_t waveLaneItersPaid = 0;
 
     /**
      * Shared GF(2) eliminations performed by the batched OSD stage
@@ -124,6 +130,8 @@ struct BpOsdStats
         {"wave_groups", &BpOsdStats::waveGroups},
         {"wave_lane_slots", &BpOsdStats::waveLaneSlots},
         {"wave_lanes_filled", &BpOsdStats::waveLanesFilled},
+        {"wave_lane_iters_useful", &BpOsdStats::waveLaneItersUseful},
+        {"wave_lane_iters_paid", &BpOsdStats::waveLaneItersPaid},
         {"osd_batch_groups", &BpOsdStats::osdBatchGroups},
         {"osd_shared_pivots", &BpOsdStats::osdSharedPivots},
         {"staged_chunks", &BpOsdStats::stagedChunks},
@@ -144,8 +152,11 @@ struct BpOsdStats
     /** Mean BP iterations over non-trivial decodes. */
     double meanBpIterations() const;
 
-    /** Mean filled fraction of wave-kernel lanes (0 when unused). */
+    /** Filled fraction of the lane loads: how full lanes start. */
     double waveLaneOccupancy() const;
+
+    /** Useful / paid lane-iterations: how busy lanes stay. */
+    double waveLaneUtilization() const;
 };
 
 /** BP + OSD-0 decoder over a detector error model. */
@@ -195,10 +206,10 @@ class BpOsdDecoder : public Decoder
     void stageBatch(const ShotBatch& batch);
 
     /**
-     * Decode every staged distinct syndrome (full L-wide weight-
-     * sorted wave groups over the whole pool, batched OSD in 64-shot
-     * slabs) and replay outcomes onto every staged shot. Results are
-     * then readable via stagedPredictions()/stagedBatchOffset().
+     * Decode every staged distinct syndrome (the weight-sorted pool
+     * through the refilling wave lanes, batched OSD in 64-shot slabs)
+     * and replay outcomes onto every staged shot. Results are then
+     * readable via stagedPredictions()/stagedBatchOffset().
      */
     void flushStaged();
 
@@ -288,13 +299,13 @@ class BpOsdDecoder : public Decoder
     BitVec syndromeScratch_;
     std::vector<uint64_t> waveScratch_;
     std::vector<MemoEntry> memoEntries_;
-    std::vector<uint32_t> laneOrder_;
+    std::vector<const BitVec*> laneSyndromes_;
     std::unordered_map<uint64_t, std::vector<uint32_t>> memoIndex_;
 
-    // Batched-OSD staging: non-converged lanes accumulate across wave
-    // groups (posteriors copied — the wave state is overwritten by the
-    // next decodeWave) and flush through OsdDecoder::solveBatch in
-    // slabs of up to 64 shots, one RHS word.
+    // Batched-OSD staging: non-converged lanes accumulate in
+    // retirement order (posteriors copied — the lane refills right
+    // after) and flush through OsdDecoder::solveBatch in slabs of up
+    // to 64 shots, one RHS word.
     static constexpr size_t kOsdFlushShots = 64;
     std::vector<PendingOsd> osdPending_;
     std::vector<float> osdPosteriors_; ///< kOsdFlushShots x numVars.

@@ -45,7 +45,7 @@ const DecoderBackend kAvx2Backend{
 
 // Preferred width 8 matches the old default: 16 generic-vector lanes
 // without an attributed kernel lower to poor code on most baselines
-// and pay more frozen-lane waste per slow syndrome.
+// and pay more idle-lane waste in the tail of each flush.
 const DecoderBackend kGenericBackend{
     "generic", 8, &alwaysSupported, &waveKernelTablesGeneric};
 

@@ -68,6 +68,11 @@ LatencyHistogram::quantileUs(double q) const
 void
 StreamDecodeStats::merge(const StreamDecodeStats& other)
 {
+    if (other.windows > 0) {
+        latencyMinUs = windows == 0
+            ? other.latencyMinUs
+            : std::min(latencyMinUs, other.latencyMinUs);
+    }
     for (const auto& c : kCounters)
         this->*c.member += other.*c.member;
     if (deadlineUs == 0.0)
@@ -80,9 +85,10 @@ StreamDecodeStats::merge(const StreamDecodeStats& other)
 void
 StreamDecodeStats::computePercentiles()
 {
-    p50Us = std::min(latency.quantileUs(0.50), latencyMaxUs);
-    p99Us = std::min(latency.quantileUs(0.99), latencyMaxUs);
-    p999Us = std::min(latency.quantileUs(0.999), latencyMaxUs);
+    p50Us = std::clamp(latency.quantileUs(0.50), latencyMinUs, latencyMaxUs);
+    p99Us = std::clamp(latency.quantileUs(0.99), latencyMinUs, latencyMaxUs);
+    p999Us =
+        std::clamp(latency.quantileUs(0.999), latencyMinUs, latencyMaxUs);
 }
 
 StreamDecoder::StreamDecoder(BpOsdDecoder& decoder, size_t numDetectors,
@@ -252,6 +258,9 @@ StreamDecoder::flush(size_t cause)
             decoder_.stagedBatchOffset(i / 64) + (i & 63);
         const double latency = std::max(0.0, commitUs - p.readyUs);
         stats_.latencySumUs += latency;
+        stats_.latencyMinUs = stats_.windows == 0
+            ? latency
+            : std::min(stats_.latencyMinUs, latency);
         stats_.latencyMaxUs = std::max(stats_.latencyMaxUs, latency);
         stats_.latency.record(latency);
         ++stats_.windows;

@@ -115,6 +115,8 @@ struct StreamDecodeStats
     double deadlineUs = 0.0;
 
     double latencySumUs = 0.0;
+    /** Fastest and slowest commit (both 0 while windows == 0). */
+    double latencyMinUs = 0.0;
     double latencyMaxUs = 0.0;
     LatencyHistogram latency;
 
@@ -145,18 +147,19 @@ struct StreamDecodeStats
     static constexpr StatField<StreamDecodeStats, double> kScalars[] = {
         {"deadline_us", &StreamDecodeStats::deadlineUs},
         {"latency_sum_us", &StreamDecodeStats::latencySumUs},
+        {"latency_min_us", &StreamDecodeStats::latencyMinUs},
         {"latency_max_us", &StreamDecodeStats::latencyMaxUs},
         {"latency_p50_us", &StreamDecodeStats::p50Us},
         {"latency_p99_us", &StreamDecodeStats::p99Us},
         {"latency_p999_us", &StreamDecodeStats::p999Us},
     };
 
-    /** Bin-wise / additive merge of another worker's stats. */
+    /** Bin-wise / additive / min / max merge of another worker's. */
     void merge(const StreamDecodeStats& other);
 
     /**
-     * Recompute p50/p99/p999 from the merged histogram, clamped to
-     * latencyMaxUs (a bin midpoint can lie above every sample).
+     * Recompute p50/p99/p999 from the merged histogram, clamped into
+     * [latencyMinUs, latencyMaxUs] (bin midpoints can miss samples).
      */
     void computePercentiles();
 

@@ -12,7 +12,7 @@
  *     the only SIMD rung of non-x86 builds.
  *   - wave_kernels_avx2.cc    : target("avx2"), L = 4 and 8 (ymm).
  *   - wave_kernels_avx512.cc  : target("avx512f,avx512bw"), L = 16 —
- *     one zmm per variable, with the frozen-lane select lowered to
+ *     one zmm per variable, with the lane-wise selects lowered to
  *     __mmask16 blends.
  *
  * Splitting the rungs into separate TUs (instead of one TU with many
@@ -60,7 +60,6 @@ struct WaveKernelCtx
     const float* synSign = nullptr;  ///< numChecks x L: +-1 per lane.
     float* msgScratch = nullptr;   ///< maxCheckDegree x L.
     float* tanhScratch = nullptr;  ///< maxCheckDegree x L.
-    const uint32_t* laneActive = nullptr;  ///< L entries: ~0u or 0.
     float clamp = 50.0f;
     float minSumScale = 0.9f;
     // Compressed min-sum state (min-sum variant only).
@@ -89,11 +88,9 @@ struct WaveKernelTable
      *  min-sum variant of uncompressed rungs). */
     void (*posteriorUpdate)(const WaveKernelCtx&) = nullptr;
     void (*checkProdSum)(const WaveKernelCtx&) = nullptr;
-    void (*checkProdSumMasked)(const WaveKernelCtx&) = nullptr;
     /** Min-sum passes (compressed or full per minSumCompressed). */
     void (*posteriorUpdateMinSum)(const WaveKernelCtx&) = nullptr;
     void (*checkMinSum)(const WaveKernelCtx&) = nullptr;
-    void (*checkMinSumMasked)(const WaveKernelCtx&) = nullptr;
 };
 
 /**

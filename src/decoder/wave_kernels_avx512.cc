@@ -3,8 +3,8 @@
  * AVX-512 rung of the SIMD ladder: L = 16, one zmm per variable. The
  * generic-vector selects (`cond ? a : b` on 16-lane comparisons) lower
  * to __mmask16 compare + masked blends under this target, which is
- * what makes the frozen-lane message freeze and the two-smallest
- * tracking cheap at this width. Compiled into a table only when the
+ * what makes the two-smallest tracking and the compressed-message
+ * decode cheap at this width. Compiled into a table only when the
  * build enables the x86 AVX-512 kernels.
  */
 

@@ -11,7 +11,8 @@
  * columns, zero-weight detectors) and random shot sets (error-pattern
  * shots plus adversarial raw syndromes that may leave the DEM column
  * span), then asserts exact prediction and statistics equality across
- * all four decode paths for both BP variants.
+ * all four decode paths for both BP variants — including staged groups
+ * of random size through the wave decoder's refilling lanes.
  *
  * CI runs a fixed seed set; set CYCLONE_FUZZ_ITERS to a larger count
  * for deeper local runs (each iteration is one random DEM + shot set
@@ -280,6 +281,58 @@ TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
                 EXPECT_EQ(st.bpIterations, want.bpIterations * 2)
                     << label;
                 EXPECT_EQ(st.stagedChunks, 1u) << label;
+            }
+
+            // Path 6 (x N): the shots split into a random number of
+            // ragged batches staged as one group, on every rung, so
+            // the refilling lanes see random-length syndrome lists.
+            // Each shot is decoded once: every per-shot counter must
+            // equal the reference.
+            std::vector<ShotBatch> parts;
+            std::vector<size_t> partBase;
+            for (size_t base = 0; base < shots;) {
+                const size_t len =
+                    std::min(shots - base, 1 + rng.below(70));
+                ShotBatch part;
+                part.reset(dem.numDetectors, len);
+                for (size_t s = 0; s < len; ++s) {
+                    const BitVec syndrome = batch.syndromeOf(base + s);
+                    for (size_t d = 0; d < dem.numDetectors; ++d)
+                        if (syndrome.get(d))
+                            part.flipDetector(s, d);
+                }
+                parts.push_back(std::move(part));
+                partBase.push_back(base);
+                base += len;
+            }
+            for (const DecoderBackend* b : decoderBackendRegistry()) {
+                if (b->kernels == nullptr || !b->supported())
+                    continue;
+                EnvGuard guard(kWaveBackendEnv, b->name);
+                BpOptions pathBp = bp;
+                pathBp.waveLanes = 0;
+                pathBp.osdBatch = true;
+                BpOsdDecoder staged(dem, pathBp);
+                staged.beginStaged();
+                for (const ShotBatch& part : parts)
+                    staged.stageBatch(part);
+                staged.flushStaged();
+                const std::string where = label + " staged-parts=" +
+                    std::to_string(parts.size()) + " backend=" + b->name;
+                for (size_t k = 0; k < parts.size(); ++k) {
+                    const size_t base = staged.stagedBatchOffset(k);
+                    for (size_t s = 0; s < parts[k].numShots; ++s)
+                        ASSERT_EQ(staged.stagedPredictions()[base + s],
+                                  expected[partBase[k] + s])
+                            << where << " part=" << k << " s=" << s;
+                }
+                const BpOsdStats& st = staged.stats();
+                expectReplayedStatsEqual(st, want, where);
+                EXPECT_EQ(st.stagedChunks, parts.size() - 1) << where;
+                EXPECT_LE(st.waveLaneItersUseful, st.waveLaneItersPaid)
+                    << where;
+                EXPECT_EQ(st.waveLaneItersPaid %
+                              staged.waveLaneWidth(), 0u) << where;
             }
         }
     }

@@ -365,6 +365,64 @@ TEST(StreamDecoder, PercentilesNeverExceedTheObservedMax)
     EXPECT_EQ(s.p999Us, 91.0);
 }
 
+TEST(StreamDecoder, PercentilesNeverFallBelowTheObservedMin)
+{
+    // Two windows committed after exactly 100 us: their bin midpoint
+    // lies near 98.7 us, below every latency that was observed.
+    const DetectorErrorModel dem = chainDem(8, 0.1);
+    BpOsdDecoder decoder(dem);
+    double clockUs = 0.0;
+    StreamDecoderOptions options;
+    options.streams = 2;
+    options.policy = FlushPolicy::Deadline;
+    options.flushAfterUs = 50.0;
+    options.nowUs = [&clockUs] { return clockUs; };
+    StreamDecoder stream(decoder, dem.numDetectors, options);
+    BitVec syndrome(dem.numDetectors);
+    syndrome.set(1, true);
+    stream.pushRound(0, syndrome);
+    stream.pushRound(1, syndrome);
+    clockUs = 100.0;
+    stream.poll();
+    ASSERT_EQ(stream.committed().size(), 2u);
+
+    StreamDecodeStats s = stream.stats();
+    ASSERT_LT(s.latency.quantileUs(0.5), 100.0);
+    s.computePercentiles();
+    EXPECT_EQ(s.p50Us, 100.0);
+    EXPECT_EQ(s.p99Us, 100.0);
+    EXPECT_EQ(s.p999Us, 100.0);
+}
+
+TEST(StreamDecoder, LatencyMinMergesSafelyAcrossEmptyWindows)
+{
+    StreamDecodeStats empty;
+    StreamDecodeStats a;
+    a.windows = 2;
+    a.latencyMinUs = 12.0;
+    a.latencyMaxUs = 30.0;
+
+    // An empty side contributes no minimum, whichever side it is on.
+    a.merge(empty);
+    EXPECT_DOUBLE_EQ(a.latencyMinUs, 12.0);
+    StreamDecodeStats b;
+    b.merge(a);
+    EXPECT_DOUBLE_EQ(b.latencyMinUs, 12.0);
+    EXPECT_EQ(b.windows, 2u);
+
+    StreamDecodeStats c;
+    c.windows = 1;
+    c.latencyMinUs = 7.0;
+    c.latencyMaxUs = 7.0;
+    b.merge(c);
+    EXPECT_DOUBLE_EQ(b.latencyMinUs, 7.0);
+    EXPECT_DOUBLE_EQ(b.latencyMaxUs, 30.0);
+
+    empty.computePercentiles();
+    EXPECT_EQ(empty.p50Us, 0.0);
+    EXPECT_EQ(empty.p999Us, 0.0);
+}
+
 TEST(StreamDecoder, ChunkGroupStreamedMatchesOfflineChunkGroup)
 {
     const DetectorErrorModel dem = chainDem(12, 0.15);

@@ -378,7 +378,7 @@ TEST(WaveDecoder, RaggedGroupsMatchScalarAtEveryCount)
 {
     SKIP_WITHOUT_WAVE_SUPPORT();
     // Every partial lane count from 1 to L-1 must behave exactly like
-    // a full group: idle lanes are frozen from the start and never
+    // a full group: idle lanes iterate on stale state and never
     // perturb real ones.
     const auto dem = surface13Dem(0.012);
     const auto syndromes = sampledSyndromes(dem, 15, 0x7a9);
@@ -397,8 +397,8 @@ TEST(WaveDecoder, AllLanesConvergeEarlyFreezeIsExact)
     SKIP_WITHOUT_WAVE_SUPPORT();
     // Single-fault syndromes on a repetition chain: BP converges on
     // every lane within a few iterations, at lane-dependent times, so
-    // the per-lane freeze logic is exercised while the whole group
-    // still finishes well before maxIterations.
+    // lanes retire one by one (and keep iterating unread) while the
+    // whole group still finishes well before maxIterations.
     const auto dem = repetitionDem(24, 0.02);
     std::vector<BitVec> syndromes;
     for (size_t v = 0; v < dem.mechanisms.size(); ++v) {
@@ -436,6 +436,99 @@ TEST(WaveDecoder, MaxIterationNonConvergenceMatchesScalar)
         options.maxIterations = max_iters;
         options.waveLanes = 8;
         expectWaveMatchesScalar(dem, options, syndromes, "starved");
+    }
+}
+
+TEST(WaveDecoder, RefillMatchesScalar)
+{
+    SKIP_WITHOUT_WAVE_SUPPORT();
+    // Persistent lanes: decodeAll streams the whole list through the
+    // lanes, refilling each as it retires. Lanes must retire both by
+    // converging and by the iteration cap (raw random syndromes never
+    // converge), a list may be shorter than, equal to or many times
+    // the lane width, and every syndrome must still match the scalar
+    // decoder exactly — on every rung and width this host serves.
+    const auto dem = surface13Dem(0.03);
+    std::vector<BitVec> pool = sampledSyndromes(dem, 96, 0x4ef11);
+    Rng rng(0x4a11);
+    for (size_t i = 0; i < pool.size(); i += 4) {
+        for (size_t c = 0; c < pool[i].size(); ++c)
+            pool[i].set(c, rng.below(3) == 0);
+    }
+    ASSERT_GE(pool.size(), 83u);
+
+    auto graph = std::make_shared<const BpGraph>(dem);
+    std::vector<float> lane_posterior;
+    BitVec lane_hard;
+    for (const DecoderBackend* b : decoderBackendRegistry()) {
+        if (b->kernels == nullptr || !b->supported())
+            continue;
+        for (size_t lanes : {size_t{4}, size_t{8}, size_t{16}}) {
+            if (b->kernels(lanes) == nullptr)
+                continue;
+            for (const auto variant : {BpOptions::Variant::MinSum,
+                                       BpOptions::Variant::ProductSum}) {
+                for (size_t max_iters : {0u, 1u, 3u, 32u}) {
+                    BpOptions options;
+                    options.variant = variant;
+                    options.waveLanes = lanes;
+                    options.maxIterations = max_iters;
+                    BpDecoder scalar(graph, options);
+                    BpWaveDecoder wave(graph, options, *b);
+                    const size_t L = wave.laneWidth();
+                    for (size_t n : {size_t{1}, L - 1, L, L + 1,
+                                     5 * L + 3}) {
+                        const std::string label = std::string(b->name) +
+                            "-L" + std::to_string(L) +
+                            (variant == BpOptions::Variant::MinSum
+                                 ? " ms" : " ps") +
+                            " iters=" + std::to_string(max_iters) +
+                            " n=" + std::to_string(n);
+                        std::vector<const BitVec*> list(n);
+                        for (size_t i = 0; i < n; ++i)
+                            list[i] = &pool[i];
+                        std::vector<int> seen(n, 0);
+                        size_t converged = 0;
+                        size_t capped = 0;
+                        size_t useful = 0;
+                        const size_t steps = wave.decodeAll(
+                            list.data(), n, [&](size_t i, size_t lane) {
+                                ASSERT_LT(i, n) << label;
+                                ASSERT_LT(lane, L) << label;
+                                ++seen[i];
+                                const ScalarRef ref =
+                                    scalarReference(scalar, pool[i]);
+                                ASSERT_EQ(wave.laneConverged(lane),
+                                          ref.converged)
+                                    << label << " i=" << i;
+                                ASSERT_EQ(wave.laneIterations(lane),
+                                          ref.iterations)
+                                    << label << " i=" << i;
+                                wave.lanePosterior(lane, lane_posterior);
+                                ASSERT_EQ(lane_posterior, ref.posterior)
+                                    << label << " i=" << i;
+                                wave.laneHardDecision(lane, lane_hard);
+                                ASSERT_EQ(lane_hard, ref.hard)
+                                    << label << " i=" << i;
+                                converged += ref.converged &&
+                                    ref.iterations > 0;
+                                capped += ref.iterations == max_iters;
+                                useful += ref.iterations;
+                            });
+                        for (size_t i = 0; i < n; ++i)
+                            ASSERT_EQ(seen[i], 1) << label << " i=" << i;
+                        // Each step pays L lane-iterations, and no
+                        // syndrome ran longer than the whole decode.
+                        EXPECT_LE(useful, steps * L) << label;
+                        EXPECT_LE(steps, n * max_iters) << label;
+                        if (n == 5 * L + 3 && max_iters == 32) {
+                            EXPECT_GT(converged, 0u) << label;
+                            EXPECT_GT(capped, 0u) << label;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
