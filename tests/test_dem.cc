@@ -4,14 +4,22 @@
  */
 
 #include <cmath>
+#include <map>
+#include <set>
+#include <utility>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "campaign/artifact_cache.h"
+#include "campaign/content_hash.h"
 #include "circuit/frame_simulator.h"
 #include "circuit/memory_circuit.h"
 #include "dem/dem_builder.h"
 #include "dem/dem_sampler.h"
+#include "noise/pauli_twirl.h"
 #include "qec/classical_code.h"
+#include "qec/code_catalog.h"
 #include "qec/hgp_code.h"
 #include "qec/schedule.h"
 
@@ -92,49 +100,154 @@ TEST(DemBuilder, ObservableTracking)
     EXPECT_EQ(dem.numObservables, 3u);
 }
 
+/**
+ * Copy of `c` with a Depolarize1 of strength p in front of every
+ * Pauli1 (the per-round idle channel), so one memory circuit carries
+ * every error-op kind the DEM builder decomposes.
+ */
+Circuit
+withDepolarize1BeforeIdle(const Circuit& c, double p)
+{
+    Circuit out(c.numQubits());
+    for (const Op& op : c.ops()) {
+        switch (op.kind) {
+          case OpKind::ResetZ: out.resetZ(op.targets[0]); break;
+          case OpKind::ResetX: out.resetX(op.targets[0]); break;
+          case OpKind::MeasureZ: out.measureZ(op.targets[0]); break;
+          case OpKind::MeasureX: out.measureX(op.targets[0]); break;
+          case OpKind::Cx: out.cx(op.targets[0], op.targets[1]); break;
+          case OpKind::XError: out.xError(op.targets[0], op.params[0]); break;
+          case OpKind::ZError: out.zError(op.targets[0], op.params[0]); break;
+          case OpKind::Depolarize1:
+            out.depolarize1(op.targets[0], op.params[0]);
+            break;
+          case OpKind::Depolarize2:
+            out.depolarize2(op.targets[0], op.targets[1], op.params[0]);
+            break;
+          case OpKind::Pauli1:
+            out.depolarize1(op.targets[0], p);
+            out.pauli1(op.targets[0], op.params[0], op.params[1],
+                       op.params[2]);
+            break;
+          case OpKind::Detector: out.addDetector(op.targets); break;
+          case OpKind::Observable:
+            out.addObservable(static_cast<size_t>(op.params[0]),
+                              op.targets);
+            break;
+        }
+    }
+    return out;
+}
+
 TEST(DemBuilder, MechanismSignaturesMatchFramePropagation)
 {
-    // Cross-validation: every XError/ZError mechanism's detector set
-    // must equal what single-fault frame propagation reports.
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    // Probe circuit with preparation errors only: every noise site is
-    // a single X or Z flip whose signature we can check one by one.
-    MemoryCircuitOptions probe_opts;
-    probe_opts.rounds = 2;
-    probe_opts.noise = NoiseModel::uniform(0.0);
-    probe_opts.noise.prepError = 0.01;
-    Circuit probe = buildZMemoryCircuit(code, sched, probe_opts);
+    // Independent physics check: propagate every component of every
+    // error channel on its own through the frame simulator (a two-qubit
+    // Pauli as the XOR of its two single-qubit parts). Every visible
+    // component must be a DEM mechanism with the same detectors and
+    // observables, and the DEM must hold nothing else.
+    const CssCode code = catalog::bb72();
+    const SyndromeSchedule sched = makeXThenZSchedule(code);
+    MemoryCircuitOptions opts;
+    opts.rounds = 3;
+    opts.noise = NoiseModel::withLatency(1e-3, 150.0);
+    const Circuit circuit = withDepolarize1BeforeIdle(
+        buildZMemoryCircuit(code, sched, opts), 1e-3);
+    const auto dem = buildDetectorErrorModel(circuit);
+    const FrameSimulator sim(circuit);
 
-    auto dem = buildDetectorErrorModel(probe);
-    FrameSimulator sim(probe);
-    // Every prep-error op: propagate its fault and find the matching
-    // mechanism (or confirm it is invisible).
-    size_t checked = 0;
-    for (size_t i = 0; i < probe.ops().size(); ++i) {
-        const Op& op = probe.ops()[i];
-        if (op.kind != OpKind::XError && op.kind != OpKind::ZError)
-            continue;
+    using Signature = std::pair<std::vector<uint32_t>, uint64_t>;
+    struct Part
+    {
         BitVec flips;
         uint64_t obs = 0;
-        sim.propagateFault(i, op.targets[0],
-                           op.kind == OpKind::XError,
-                           op.kind == OpKind::ZError, flips, obs);
-        const auto positions = flips.onesPositions();
-        std::vector<uint32_t> dets(positions.begin(), positions.end());
-        if (dets.empty() && obs == 0)
-            continue; // invisible fault
-        bool found = false;
-        for (const DemMechanism& m : dem.mechanisms) {
-            if (m.observables == obs && m.detectors == dets) {
-                found = true;
-                break;
-            }
+    };
+    auto fault = [&](size_t op, uint32_t q, bool x, bool z) {
+        Part part;
+        sim.propagateFault(op, q, x, z, part.flips, part.obs);
+        return part;
+    };
+    auto signature = [](const Part& a, const Part* b) {
+        BitVec flips = a.flips;
+        uint64_t obs = a.obs;
+        if (b != nullptr) {
+            flips ^= b->flips;
+            obs ^= b->obs;
         }
-        EXPECT_TRUE(found) << "op " << i << " signature missing";
-        ++checked;
+        const auto ones = flips.onesPositions();
+        return Signature(std::vector<uint32_t>(ones.begin(), ones.end()),
+                         obs);
+    };
+
+    std::set<Signature> visible;
+    std::map<OpKind, size_t> components;
+    auto expect = [&](const Signature& sig, double p, OpKind kind) {
+        if (p <= 0.0 || (sig.first.empty() && sig.second == 0))
+            return;
+        visible.insert(sig);
+        ++components[kind];
+    };
+    for (size_t i = 0; i < circuit.ops().size(); ++i) {
+        const Op& op = circuit.ops()[i];
+        const uint32_t a = op.targets.empty() ? 0 : op.targets[0];
+        switch (op.kind) {
+          case OpKind::XError:
+          case OpKind::ZError: {
+            const bool x = op.kind == OpKind::XError;
+            expect(signature(fault(i, a, x, !x), nullptr), op.params[0],
+                   op.kind);
+            break;
+          }
+          case OpKind::Depolarize1:
+          case OpKind::Pauli1: {
+            const bool dep = op.kind == OpKind::Depolarize1;
+            const double px = dep ? op.params[0] / 3 : op.params[0];
+            const double py = dep ? op.params[0] / 3 : op.params[1];
+            const double pz = dep ? op.params[0] / 3 : op.params[2];
+            expect(signature(fault(i, a, true, false), nullptr), px,
+                   op.kind);
+            expect(signature(fault(i, a, true, true), nullptr), py,
+                   op.kind);
+            expect(signature(fault(i, a, false, true), nullptr), pz,
+                   op.kind);
+            break;
+          }
+          case OpKind::Depolarize2: {
+            const uint32_t b = op.targets[1];
+            for (unsigned pa = 0; pa < 4; ++pa) {
+                for (unsigned pb = 0; pb < 4; ++pb) {
+                    if (pa == 0 && pb == 0)
+                        continue;
+                    // Pauli index bits: 1 = X part, 2 = Z part.
+                    const Part fa = fault(i, a, pa & 1, pa & 2);
+                    const Part fb = fault(i, b, pb & 1, pb & 2);
+                    expect(signature(fa, &fb), op.params[0] / 15,
+                           op.kind);
+                }
+            }
+            break;
+          }
+          default:
+            break;
+        }
     }
-    EXPECT_GT(checked, 10u);
+
+    std::set<Signature> inDem;
+    for (const DemMechanism& m : dem.mechanisms)
+        inDem.emplace(m.detectors, m.observables);
+    EXPECT_EQ(inDem.size(), dem.mechanisms.size())
+        << "duplicate mechanism signatures";
+    EXPECT_EQ(dem.mechanisms.size(), visible.size());
+    size_t missing = 0;
+    for (const Signature& sig : visible)
+        missing += inDem.count(sig) == 0;
+    EXPECT_EQ(missing, 0u) << "visible components missing from the DEM";
+    for (OpKind kind : {OpKind::XError, OpKind::ZError,
+                        OpKind::Depolarize1, OpKind::Pauli1,
+                        OpKind::Depolarize2})
+        EXPECT_GT(components[kind], 0u)
+            << "no visible component of op kind "
+            << static_cast<int>(kind);
 }
 
 TEST(DemBuilder, ExpectedErrorsMatchesProbabilitySum)
@@ -186,6 +299,98 @@ TEST(DemBuilder, LatencyChannelAddsMechanisms)
         buildDetectorErrorModel(buildZMemoryCircuit(code, sched, slow));
     EXPECT_GT(dem_slow.expectedErrorsPerShot(),
               dem_quiet.expectedErrorsPerShot());
+}
+
+/** One golden DEM: a memory circuit and its serialized-bytes digest. */
+struct GoldenDem
+{
+    const char* code;
+    bool xBasis;
+    const char* noise; ///< "uniform", "latency" or "perqubit".
+    size_t mechanisms;
+    uint64_t digest;
+};
+
+/**
+ * Build the memory circuit a campaign task of this shape would fold:
+ * the X-then-Z schedule over the code's nominal distance in rounds, at
+ * p = 1e-3, with either no idle channel, the uniform per-round twirl
+ * of a 150 us round, or per-qubit Pauli1 twirls of distinct idle
+ * windows.
+ */
+Circuit
+goldenCircuit(const GoldenDem& g)
+{
+    const CssCode code = std::string(g.code) == "surface3"
+        ? catalog::surface(3)
+        : catalog::byName(g.code);
+    const SyndromeSchedule sched = makeXThenZSchedule(code);
+    const double p = 1e-3;
+    MemoryCircuitOptions opts;
+    opts.rounds = code.nominalDistance() > 0 ? code.nominalDistance() : 3;
+    const std::string noise = g.noise;
+    if (noise == "latency") {
+        opts.noise = NoiseModel::withLatency(p, 150.0);
+    } else {
+        opts.noise = NoiseModel::uniform(p);
+        if (noise == "perqubit") {
+            const double t = coherenceTimeSeconds(p);
+            for (size_t q = 0; q < code.numQubits(); ++q)
+                opts.perQubitIdle.push_back(twirlDecoherence(
+                    20.0 + 13.0 * static_cast<double>(q % 7), t, t));
+        }
+    }
+    return g.xBasis ? buildXMemoryCircuit(code, sched, opts)
+                    : buildZMemoryCircuit(code, sched, opts);
+}
+
+uint64_t
+demDigest(const DetectorErrorModel& dem)
+{
+    HashStream h;
+    h.absorb(serializeDem(dem));
+    return h.digest();
+}
+
+TEST(DemBuilder, GoldenDigests)
+{
+    // Recorded from the builder before the backward-sweep rewrite. Any
+    // change to what a DEM contains (mechanism order, signatures or a
+    // probability's last bit) must update this table and say why in
+    // CHANGES.md.
+    const GoldenDem kGolden[] = {
+        {"bb72", false, "uniform", 15840, 0x9572f330212f32feull},
+        {"bb72", false, "latency", 15840, 0xed2aca8e3bd33a77ull},
+        {"bb72", false, "perqubit", 15840, 0x14ec556cd0b7bdf2ull},
+        {"bb72", true, "uniform", 15840, 0xe151b81e4714474bull},
+        {"bb72", true, "latency", 15840, 0x355c054ce0658aecull},
+        {"bb72", true, "perqubit", 15840, 0xcf2ad828b626613full},
+        {"bb144", false, "uniform", 67104, 0x8325dd65655d6907ull},
+        {"bb144", false, "latency", 67104, 0x567fbb1dad425e01ull},
+        {"bb144", false, "perqubit", 67104, 0x7f1f2ff06a56db4dull},
+        {"bb144", true, "uniform", 67104, 0x105ac133eaeefbfdull},
+        {"bb144", true, "latency", 67104, 0xb8015df001a318dbull},
+        {"bb144", true, "perqubit", 67104, 0xbd9e7754da2918ebull},
+        {"hgp225", false, "uniform", 57876, 0xa49483535b573235ull},
+        {"hgp225", false, "latency", 57876, 0x137589ee0f00902cull},
+        {"hgp225", false, "perqubit", 57876, 0xcf38f63129d9bb8bull},
+        {"hgp225", true, "uniform", 57878, 0x719ae7fdb418403dull},
+        {"hgp225", true, "latency", 57878, 0x0bf2af4b1af56d7bull},
+        {"hgp225", true, "perqubit", 57878, 0x337df87a602c17d9ull},
+        {"surface3", false, "uniform", 427, 0x55468d029c1ac1deull},
+        {"surface3", false, "latency", 427, 0x7377d053690ee02dull},
+        {"surface3", false, "perqubit", 427, 0xd7994d103072379eull},
+        {"surface3", true, "uniform", 427, 0x2a11545b5834ce8dull},
+        {"surface3", true, "latency", 427, 0xedfd941ca3ddca42ull},
+        {"surface3", true, "perqubit", 427, 0xa4819c960e5ad6e4ull},
+    };
+    for (const GoldenDem& g : kGolden) {
+        const auto dem = buildDetectorErrorModel(goldenCircuit(g));
+        EXPECT_EQ(dem.mechanisms.size(), g.mechanisms)
+            << g.code << (g.xBasis ? " X " : " Z ") << g.noise;
+        EXPECT_EQ(demDigest(dem), g.digest)
+            << g.code << (g.xBasis ? " X " : " Z ") << g.noise;
+    }
 }
 
 TEST(DemSampler, ZeroProbabilityNeverFires)
