@@ -33,8 +33,14 @@ constexpr uint32_t kArtifactVersion = 2;
 /** Bytes of the fixed header: magic, endian, version, kind, crc. */
 constexpr size_t kArtifactHeaderBytes = 5 * sizeof(uint32_t);
 
+/**
+ * Appends fields to `bytes`, or in counting mode only adds up their
+ * sizes, so one serializer body yields both a blob and its exact size.
+ */
 struct ByteWriter
 {
+    bool countOnly = false;
+    size_t size = 0;
     std::string bytes;
 
     void u32(uint32_t v) { raw(&v, sizeof v); }
@@ -43,11 +49,13 @@ struct ByteWriter
     void str(const std::string& s)
     {
         u64(s.size());
-        bytes.append(s);
+        raw(s.data(), s.size());
     }
     void raw(const void* p, size_t n)
     {
-        bytes.append(static_cast<const char*>(p), n);
+        size += n;
+        if (!countOnly)
+            bytes.append(static_cast<const char*>(p), n);
     }
 };
 
@@ -209,12 +217,9 @@ quarantineBlob(const std::string& store, const char* kind,
                 (dir + "/" + path.substr(slash + 1)).c_str());
 }
 
-} // namespace
-
-std::string
-serializeCompileResult(const CompileResult& result)
+void
+writeCompileResult(ByteWriter& w, const CompileResult& result)
 {
-    ByteWriter w;
     writeHeader(w, kCompileKind);
     w.str(result.compilerName);
     w.str(result.topologyName);
@@ -247,7 +252,57 @@ serializeCompileResult(const CompileResult& result)
         w.f64(op.waitUs);
         w.u32(op.counted ? 1u : 0u);
     }
+}
+
+void
+writeDem(ByteWriter& w, const DetectorErrorModel& dem)
+{
+    writeHeader(w, kDemKind);
+    w.u64(dem.numDetectors);
+    w.u64(dem.numObservables);
+    w.u64(dem.mechanisms.size());
+    for (const DemMechanism& m : dem.mechanisms) {
+        w.f64(m.probability);
+        w.u64(m.observables);
+        w.u64(m.detectors.size());
+        w.raw(m.detectors.data(),
+              m.detectors.size() * sizeof(uint32_t));
+    }
+}
+
+/** Blob of `value` written by `write`, crc patched in. */
+template <typename T>
+std::string
+serializeWith(void (*write)(ByteWriter&, const T&), const T& value)
+{
+    ByteWriter w;
+    write(w, value);
     return finishArtifact(std::move(w));
+}
+
+/** Exact blob size of `value`, counted without building the blob. */
+template <typename T>
+size_t
+sizeWith(void (*write)(ByteWriter&, const T&), const T& value)
+{
+    ByteWriter w;
+    w.countOnly = true;
+    write(w, value);
+    return w.size;
+}
+
+} // namespace
+
+std::string
+serializeCompileResult(const CompileResult& result)
+{
+    return serializeWith(&writeCompileResult, result);
+}
+
+size_t
+serializedCompileResultSize(const CompileResult& result)
+{
+    return sizeWith(&writeCompileResult, result);
 }
 
 CompileResult
@@ -301,19 +356,13 @@ deserializeCompileResult(const std::string& bytes)
 std::string
 serializeDem(const DetectorErrorModel& dem)
 {
-    ByteWriter w;
-    writeHeader(w, kDemKind);
-    w.u64(dem.numDetectors);
-    w.u64(dem.numObservables);
-    w.u64(dem.mechanisms.size());
-    for (const DemMechanism& m : dem.mechanisms) {
-        w.f64(m.probability);
-        w.u64(m.observables);
-        w.u64(m.detectors.size());
-        w.raw(m.detectors.data(),
-              m.detectors.size() * sizeof(uint32_t));
-    }
-    return finishArtifact(std::move(w));
+    return serializeWith(&writeDem, dem);
+}
+
+size_t
+serializedDemSize(const DetectorErrorModel& dem)
+{
+    return sizeWith(&writeDem, dem);
 }
 
 DetectorErrorModel
@@ -353,7 +402,7 @@ ArtifactCache::getOrBuild(
     std::unordered_map<uint64_t, std::shared_ptr<Slot<T>>>& map,
     uint64_t key, const std::function<T()>& build, const char* kind,
     size_t& hits, size_t& misses, size_t& storeHits, size_t& bytes,
-    std::string (*serialize)(const T&),
+    std::string (*serialize)(const T&), size_t (*serializedSize)(const T&),
     T (*deserialize)(const std::string&))
 {
     std::shared_ptr<Slot<T>> slot;
@@ -407,11 +456,14 @@ ArtifactCache::getOrBuild(
         }
         if (!value) {
             value = std::make_shared<const T>(build());
-            const std::string blob = serialize(*value);
-            valueBytes = blob.size();
-            if (!store.empty())
+            if (store.empty()) {
+                valueBytes = serializedSize(*value);
+            } else {
+                const std::string blob = serialize(*value);
+                valueBytes = blob.size();
                 writeFileAtomicBinary(storePath(store, kind, key),
                                       blob);
+            }
         }
     } catch (...) {
         error = std::current_exception();
@@ -445,6 +497,7 @@ ArtifactCache::getOrBuildCompile(uint64_t key,
                       stats_.compileHits, stats_.compileMisses,
                       stats_.compileStoreHits, stats_.compileBytes,
                       &serializeCompileResult,
+                      &serializedCompileResultSize,
                       &deserializeCompileResult);
 }
 
@@ -454,7 +507,8 @@ ArtifactCache::getOrBuildDem(uint64_t key,
 {
     return getOrBuild(dems_, key, build, "dem", stats_.demHits,
                       stats_.demMisses, stats_.demStoreHits,
-                      stats_.demBytes, &serializeDem, &deserializeDem);
+                      stats_.demBytes, &serializeDem,
+                      &serializedDemSize, &deserializeDem);
 }
 
 void

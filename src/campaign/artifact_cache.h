@@ -92,12 +92,18 @@ struct CacheStats
  */
 std::string serializeCompileResult(const CompileResult& result);
 
+/** serializeCompileResult(result).size(), without building the blob. */
+size_t serializedCompileResultSize(const CompileResult& result);
+
 /** Inverse of serializeCompileResult; throws std::runtime_error on a
  *  malformed or foreign-endian blob. */
 CompileResult deserializeCompileResult(const std::string& bytes);
 
 /** Serialize a detector error model bit-exactly. */
 std::string serializeDem(const DetectorErrorModel& dem);
+
+/** serializeDem(dem).size(), without building the blob. */
+size_t serializedDemSize(const DetectorErrorModel& dem);
 
 /** Inverse of serializeDem; throws std::runtime_error on bad input. */
 DetectorErrorModel deserializeDem(const std::string& bytes);
@@ -156,6 +162,7 @@ class ArtifactCache
                const char* kind, size_t& hits, size_t& misses,
                size_t& storeHits, size_t& bytes,
                std::string (*serialize)(const T&),
+               size_t (*serializedSize)(const T&),
                T (*deserialize)(const std::string&));
 
     mutable std::mutex mutex_;

@@ -2,87 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
-
-#include "common/logging.h"
+#include <iterator>
+#include <span>
 
 namespace cyclone {
 
 namespace {
 
-/** An elementary Pauli injection at one circuit position. */
-struct Injection
-{
-    size_t opIndex;   ///< Error op this injection belongs to.
-    uint32_t qubit;
-    bool zPart;       ///< false = X flip, true = Z flip.
-};
-
-/** Detector/observable signature of an injection or mechanism. */
-struct Signature
-{
-    std::vector<uint32_t> detectors; // sorted
-    uint64_t observables = 0;
-
-    bool
-    empty() const
-    {
-        return detectors.empty() && observables == 0;
-    }
-
-    uint64_t
-    hash() const
-    {
-        uint64_t h = 0xcbf29ce484222325ull;
-        for (uint32_t d : detectors) {
-            h ^= d;
-            h *= 0x100000001b3ull;
-        }
-        h ^= observables;
-        h *= 0x100000001b3ull;
-        h ^= h >> 29;
-        return h;
-    }
-
-    bool
-    operator==(const Signature& other) const
-    {
-        return observables == other.observables &&
-               detectors == other.detectors;
-    }
-};
-
-/** Symmetric difference of two sorted index vectors. */
-std::vector<uint32_t>
-symmetricDifference(const std::vector<uint32_t>& a,
-                    const std::vector<uint32_t>& b)
-{
-    std::vector<uint32_t> out;
-    out.reserve(a.size() + b.size());
-    size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i] < b[j]) {
-            out.push_back(a[i++]);
-        } else if (b[j] < a[i]) {
-            out.push_back(b[j++]);
-        } else {
-            ++i;
-            ++j;
-        }
-    }
-    out.insert(out.end(), a.begin() + i, a.end());
-    out.insert(out.end(), b.begin() + j, b.end());
-    return out;
-}
-
-Signature
-xorSignatures(const Signature& a, const Signature& b)
-{
-    Signature out;
-    out.detectors = symmetricDifference(a.detectors, b.detectors);
-    out.observables = a.observables ^ b.observables;
-    return out;
-}
+using Detectors = std::span<const uint32_t>;
 
 /** Number of elementary injections an error op contributes. */
 size_t
@@ -102,220 +29,279 @@ injectionCount(const Op& op)
     }
 }
 
-} // namespace
-
-DetectorErrorModel
-buildDetectorErrorModel(const Circuit& circuit)
+uint64_t
+signatureHash(Detectors dets, uint64_t observables)
 {
-    // ---- Enumerate elementary injections. ----
-    std::vector<Injection> injections;
-    std::vector<size_t> op_first_injection(circuit.ops().size(), SIZE_MAX);
-    for (size_t i = 0; i < circuit.ops().size(); ++i) {
-        const Op& op = circuit.ops()[i];
-        const size_t count = injectionCount(op);
-        if (count == 0)
-            continue;
-        op_first_injection[i] = injections.size();
-        switch (op.kind) {
-          case OpKind::XError:
-            injections.push_back({i, op.targets[0], false});
-            break;
-          case OpKind::ZError:
-            injections.push_back({i, op.targets[0], true});
-            break;
-          case OpKind::Depolarize1:
-          case OpKind::Pauli1:
-            injections.push_back({i, op.targets[0], false});
-            injections.push_back({i, op.targets[0], true});
-            break;
-          case OpKind::Depolarize2:
-            injections.push_back({i, op.targets[0], false});
-            injections.push_back({i, op.targets[0], true});
-            injections.push_back({i, op.targets[1], false});
-            injections.push_back({i, op.targets[1], true});
-            break;
-          default:
-            break;
-        }
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint32_t d : dets) {
+        h ^= d;
+        h *= 0x100000001b3ull;
     }
+    h ^= observables;
+    h *= 0x100000001b3ull;
+    h ^= h >> 29;
+    return h;
+}
 
-    // ---- Propagate injections in 64-lane waves. ----
-    std::vector<std::vector<uint32_t>> meas_flips(injections.size());
-    const size_t num_qubits = circuit.numQubits();
-    std::vector<uint64_t> x_frame(num_qubits), z_frame(num_qubits);
+/**
+ * Detector/observable signatures of every injection, in one flat CSR
+ * array indexed by injection number (rows are filled in any order).
+ */
+struct InjectionSignatures
+{
+    std::vector<uint32_t> detectors;
+    std::vector<size_t> begin, end;
+    std::vector<uint64_t> observables;
 
-    for (size_t wave = 0; wave < injections.size(); wave += 64) {
-        const size_t wave_end = std::min(wave + 64, injections.size());
-        std::fill(x_frame.begin(), x_frame.end(), 0);
-        std::fill(z_frame.begin(), z_frame.end(), 0);
-        size_t meas_index = 0;
-
-        for (size_t i = 0; i < circuit.ops().size(); ++i) {
-            const Op& op = circuit.ops()[i];
-            // Inject faults belonging to this op and wave.
-            const size_t first = op_first_injection[i];
-            if (first != SIZE_MAX) {
-                const size_t last = first + injectionCount(op);
-                for (size_t inj = std::max(first, wave);
-                     inj < std::min(last, wave_end); ++inj) {
-                    const Injection& in = injections[inj];
-                    const uint64_t bit = uint64_t(1) << (inj - wave);
-                    if (in.zPart)
-                        z_frame[in.qubit] |= bit;
-                    else
-                        x_frame[in.qubit] |= bit;
-                }
-            }
-            switch (op.kind) {
-              case OpKind::ResetZ:
-              case OpKind::ResetX:
-                for (uint32_t q : op.targets) {
-                    x_frame[q] = 0;
-                    z_frame[q] = 0;
-                }
-                break;
-              case OpKind::Cx: {
-                const uint32_t c = op.targets[0];
-                const uint32_t t = op.targets[1];
-                x_frame[t] ^= x_frame[c];
-                z_frame[c] ^= z_frame[t];
-                break;
-              }
-              case OpKind::MeasureZ:
-              case OpKind::MeasureX: {
-                const uint32_t q = op.targets[0];
-                uint64_t word = op.kind == OpKind::MeasureZ
-                    ? x_frame[q] : z_frame[q];
-                while (word) {
-                    const int lane = std::countr_zero(word);
-                    word &= word - 1;
-                    meas_flips[wave + static_cast<size_t>(lane)]
-                        .push_back(static_cast<uint32_t>(meas_index));
-                }
-                ++meas_index;
-                break;
-              }
-              default:
-                break;
-            }
-        }
-    }
-
-    // ---- Map measurements to detectors / observables. ----
-    std::vector<std::vector<uint32_t>> meas_to_dets(
-        circuit.numMeasurements());
-    std::vector<uint64_t> meas_to_obs(circuit.numMeasurements(), 0);
+    explicit InjectionSignatures(size_t n)
+        : begin(n), end(n), observables(n)
     {
-        size_t det_index = 0;
-        for (const Op& op : circuit.ops()) {
-            if (op.kind == OpKind::Detector) {
-                for (uint32_t m : op.targets) {
-                    meas_to_dets[m].push_back(
-                        static_cast<uint32_t>(det_index));
-                }
-                ++det_index;
-            } else if (op.kind == OpKind::Observable) {
-                const auto id = static_cast<uint64_t>(op.params[0]);
-                for (uint32_t m : op.targets)
-                    meas_to_obs[m] ^= uint64_t(1) << id;
+    }
+
+    Detectors
+    dets(size_t inj) const
+    {
+        return Detectors(detectors.data() + begin[inj],
+                         end[inj] - begin[inj]);
+    }
+};
+
+/**
+ * Sweep the circuit backwards once. At every position each qubit's X
+ * (Z) sensitivity row holds the detectors and observables that an X
+ * (Z) flip there would toggle, so an injection's signature is read off
+ * its row, already in ascending detector order.
+ */
+InjectionSignatures
+sweepBackward(const Circuit& circuit, size_t num_injections)
+{
+    // Measurement -> detectors it feeds (ascending) and observables.
+    const size_t num_meas = circuit.numMeasurements();
+    std::vector<std::vector<uint32_t>> meas_dets(num_meas);
+    std::vector<uint64_t> meas_obs(num_meas, 0);
+    uint32_t det = 0;
+    for (const Op& op : circuit.ops()) {
+        if (op.kind == OpKind::Detector) {
+            for (uint32_t m : op.targets)
+                meas_dets[m].push_back(det);
+            ++det;
+        } else if (op.kind == OpKind::Observable) {
+            const auto id = static_cast<uint64_t>(op.params[0]);
+            for (uint32_t m : op.targets)
+                meas_obs[m] ^= uint64_t(1) << id;
+        }
+    }
+
+    const size_t words = (circuit.numDetectors() + 63) / 64;
+    // Row 2q is qubit q's X sensitivity, row 2q+1 its Z sensitivity.
+    std::vector<uint64_t> bits(2 * circuit.numQubits() * words, 0);
+    std::vector<uint64_t> obs(2 * circuit.numQubits(), 0);
+    auto row = [&](size_t r) { return bits.data() + r * words; };
+    auto xor_row = [&](size_t dst, size_t src) {
+        uint64_t* d = row(dst);
+        const uint64_t* s = row(src);
+        for (size_t w = 0; w < words; ++w)
+            d[w] ^= s[w];
+        obs[dst] ^= obs[src];
+    };
+
+    InjectionSignatures sigs(num_injections);
+    size_t next_meas = num_meas;
+    size_t next_inj = num_injections;
+    const std::vector<Op>& ops = circuit.ops();
+    for (size_t i = ops.size(); i-- > 0;) {
+        const Op& op = ops[i];
+        switch (op.kind) {
+          case OpKind::ResetZ:
+          case OpKind::ResetX:
+            for (uint32_t q : op.targets) {
+                std::fill_n(row(2 * q), 2 * words, 0);
+                obs[2 * q] = obs[2 * q + 1] = 0;
             }
+            break;
+          case OpKind::Cx: {
+            const size_t c = op.targets[0];
+            const size_t t = op.targets[1];
+            xor_row(2 * c, 2 * t);
+            xor_row(2 * t + 1, 2 * c + 1);
+            break;
+          }
+          case OpKind::MeasureZ:
+          case OpKind::MeasureX: {
+            const size_t m = --next_meas;
+            const size_t r =
+                2 * op.targets[0] + (op.kind == OpKind::MeasureX);
+            for (uint32_t d : meas_dets[m])
+                row(r)[d / 64] ^= uint64_t(1) << (d % 64);
+            obs[r] ^= meas_obs[m];
+            break;
+          }
+          default: {
+            // Injection k of an error op flips X (k even) or Z (k odd)
+            // on targets[k / 2]; a lone XError/ZError is its kind.
+            const size_t count = injectionCount(op);
+            next_inj -= count;
+            for (size_t k = 0; k < count; ++k) {
+                const bool z = count == 1 ? op.kind == OpKind::ZError
+                                          : (k & 1) != 0;
+                const size_t r = 2 * op.targets[k / 2] + z;
+                const size_t inj = next_inj + k;
+                sigs.begin[inj] = sigs.detectors.size();
+                const uint64_t* sens = row(r);
+                for (size_t w = 0; w < words; ++w) {
+                    for (uint64_t word = sens[w]; word; word &= word - 1) {
+                        sigs.detectors.push_back(static_cast<uint32_t>(
+                            64 * w + std::countr_zero(word)));
+                    }
+                }
+                sigs.end[inj] = sigs.detectors.size();
+                sigs.observables[inj] = obs[r];
+            }
+            break;
+          }
         }
     }
+    return sigs;
+}
 
-    // ---- Per-injection signatures. ----
-    std::vector<Signature> inj_sig(injections.size());
-    for (size_t inj = 0; inj < injections.size(); ++inj) {
-        Signature& sig = inj_sig[inj];
-        std::vector<uint32_t> dets;
-        for (uint32_t m : meas_flips[inj]) {
-            dets.insert(dets.end(), meas_to_dets[m].begin(),
-                        meas_to_dets[m].end());
-            sig.observables ^= meas_to_obs[m];
-        }
-        std::sort(dets.begin(), dets.end());
-        // Keep indices with odd multiplicity.
-        for (size_t i = 0; i < dets.size();) {
-            size_t j = i;
-            while (j < dets.size() && dets[j] == dets[i])
-                ++j;
-            if ((j - i) & 1)
-                sig.detectors.push_back(dets[i]);
-            i = j;
-        }
+/**
+ * The DEM under construction: mechanisms in first-occurrence order,
+ * indexed by an open-addressing table keyed on the signature hash.
+ */
+class MechanismMerger
+{
+  public:
+    explicit MechanismMerger(DetectorErrorModel& dem)
+        : dem_(dem), slots_(1024)
+    {
     }
 
-    // ---- Synthesize mechanisms and merge identical signatures. ----
-    DetectorErrorModel dem;
-    dem.numDetectors = circuit.numDetectors();
-    dem.numObservables = circuit.numObservables();
-
-    std::unordered_map<uint64_t, std::vector<size_t>> sig_index;
-    auto add_mechanism = [&](const Signature& sig, double p) {
-        if (p <= 0.0 || sig.empty())
+    /** Add one component; identical signatures OR-combine. */
+    void
+    add(Detectors dets, uint64_t observables, double p)
+    {
+        if (p <= 0.0 || (dets.empty() && observables == 0))
             return;
-        const uint64_t h = sig.hash();
-        auto& bucket = sig_index[h];
-        for (size_t idx : bucket) {
-            DemMechanism& m = dem.mechanisms[idx];
-            if (m.observables == sig.observables &&
-                m.detectors == sig.detectors) {
+        const uint64_t h = signatureHash(dets, observables);
+        size_t s = probe(h);
+        for (; slots_[s].mechanism != kEmpty;
+             s = (s + 1) & (slots_.size() - 1)) {
+            if (slots_[s].hash != h)
+                continue;
+            DemMechanism& m = dem_.mechanisms[slots_[s].mechanism];
+            if (m.observables == observables &&
+                std::ranges::equal(m.detectors, dets)) {
                 // Independent-OR combination of the two events.
                 m.probability = m.probability * (1.0 - p) +
                     p * (1.0 - m.probability);
                 return;
             }
         }
-        DemMechanism m;
-        m.probability = p;
-        m.detectors = sig.detectors;
-        m.observables = sig.observables;
-        bucket.push_back(dem.mechanisms.size());
-        dem.mechanisms.push_back(std::move(m));
+        slots_[s] = {h, static_cast<uint32_t>(dem_.mechanisms.size())};
+        dem_.mechanisms.push_back(
+            {p, std::vector<uint32_t>(dets.begin(), dets.end()),
+             observables});
+        if (2 * dem_.mechanisms.size() > slots_.size())
+            grow();
+    }
+
+  private:
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+
+    struct Slot
+    {
+        uint64_t hash = 0;
+        uint32_t mechanism = kEmpty;
     };
 
-    for (size_t i = 0; i < circuit.ops().size(); ++i) {
-        const Op& op = circuit.ops()[i];
-        const size_t first = op_first_injection[i];
-        if (first == SIZE_MAX)
+    size_t probe(uint64_t h) const { return h & (slots_.size() - 1); }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(2 * slots_.size());
+        old.swap(slots_);
+        for (const Slot& slot : old) {
+            if (slot.mechanism == kEmpty)
+                continue;
+            size_t s = probe(slot.hash);
+            while (slots_[s].mechanism != kEmpty)
+                s = (s + 1) & (slots_.size() - 1);
+            slots_[s] = slot;
+        }
+    }
+
+    DetectorErrorModel& dem_;
+    std::vector<Slot> slots_;
+};
+
+} // namespace
+
+DetectorErrorModel
+buildDetectorErrorModel(const Circuit& circuit)
+{
+    size_t num_injections = 0;
+    for (const Op& op : circuit.ops())
+        num_injections += injectionCount(op);
+    const InjectionSignatures sigs = sweepBackward(circuit, num_injections);
+
+    DetectorErrorModel dem;
+    dem.numDetectors = circuit.numDetectors();
+    dem.numObservables = circuit.numObservables();
+    MechanismMerger merger(dem);
+
+    // Component signatures of one error op: combo bit k toggles
+    // injection k, so combo c is combo (c minus its low bit) XOR one
+    // injection. Buffers are reused across ops.
+    std::vector<uint32_t> combo[16];
+    uint64_t combo_obs[16] = {};
+    auto build_combos = [&](size_t first, unsigned count) {
+        for (unsigned c = 1; c < (1u << count); ++c) {
+            const unsigned low = std::countr_zero(c);
+            const unsigned rest = c & (c - 1);
+            combo[c].clear();
+            std::ranges::set_symmetric_difference(
+                combo[rest], sigs.dets(first + low),
+                std::back_inserter(combo[c]));
+            combo_obs[c] = combo_obs[rest] ^ sigs.observables[first + low];
+        }
+    };
+    auto add_combo = [&](unsigned c, double p) {
+        merger.add(combo[c], combo_obs[c], p);
+    };
+
+    size_t first = 0;
+    for (const Op& op : circuit.ops()) {
+        const size_t count = injectionCount(op);
+        if (count == 0)
             continue;
+        build_combos(first, static_cast<unsigned>(count));
         switch (op.kind) {
           case OpKind::XError:
           case OpKind::ZError:
-            add_mechanism(inj_sig[first], op.params[0]);
+            add_combo(1, op.params[0]);
             break;
           case OpKind::Depolarize1: {
             const double p = op.params[0] / 3.0;
-            add_mechanism(inj_sig[first], p);                    // X
-            add_mechanism(inj_sig[first + 1], p);                // Z
-            add_mechanism(
-                xorSignatures(inj_sig[first], inj_sig[first + 1]),
-                p);                                              // Y
+            add_combo(1, p); // X
+            add_combo(2, p); // Z
+            add_combo(3, p); // Y
             break;
           }
-          case OpKind::Pauli1: {
-            add_mechanism(inj_sig[first], op.params[0]);         // X
-            add_mechanism(
-                xorSignatures(inj_sig[first], inj_sig[first + 1]),
-                op.params[1]);                                   // Y
-            add_mechanism(inj_sig[first + 1], op.params[2]);     // Z
+          case OpKind::Pauli1:
+            add_combo(1, op.params[0]); // X
+            add_combo(3, op.params[1]); // Y
+            add_combo(2, op.params[2]); // Z
             break;
-          }
-          case OpKind::Depolarize2: {
-            const double p = op.params[0] / 15.0;
+          case OpKind::Depolarize2:
             // Bits of the combo index: Xa, Za, Xb, Zb.
-            for (unsigned combo = 1; combo < 16; ++combo) {
-                Signature sig;
-                for (unsigned bit = 0; bit < 4; ++bit) {
-                    if (combo & (1u << bit))
-                        sig = xorSignatures(sig, inj_sig[first + bit]);
-                }
-                add_mechanism(sig, p);
-            }
+            for (unsigned c = 1; c < 16; ++c)
+                add_combo(c, op.params[0] / 15.0);
             break;
-          }
           default:
             break;
         }
+        first += count;
     }
     return dem;
 }

@@ -145,7 +145,8 @@ TEST(DemBuilder, MechanismSignaturesMatchFramePropagation)
     // error channel on its own through the frame simulator (a two-qubit
     // Pauli as the XOR of its two single-qubit parts). Every visible
     // component must be a DEM mechanism with the same detectors and
-    // observables, and the DEM must hold nothing else.
+    // observables, whose probability ORs those of its components, and
+    // the DEM must hold nothing else.
     const CssCode code = catalog::bb72();
     const SyndromeSchedule sched = makeXThenZSchedule(code);
     MemoryCircuitOptions opts;
@@ -179,12 +180,14 @@ TEST(DemBuilder, MechanismSignaturesMatchFramePropagation)
                          obs);
     };
 
-    std::set<Signature> visible;
+    // Visible signature -> OR-combined probability of its components.
+    std::map<Signature, double> visible;
     std::map<OpKind, size_t> components;
     auto expect = [&](const Signature& sig, double p, OpKind kind) {
         if (p <= 0.0 || (sig.first.empty() && sig.second == 0))
             return;
-        visible.insert(sig);
+        double& q = visible[sig];
+        q = q * (1.0 - p) + p * (1.0 - q);
         ++components[kind];
     };
     for (size_t i = 0; i < circuit.ops().size(); ++i) {
@@ -233,15 +236,23 @@ TEST(DemBuilder, MechanismSignaturesMatchFramePropagation)
     }
 
     std::set<Signature> inDem;
-    for (const DemMechanism& m : dem.mechanisms)
-        inDem.emplace(m.detectors, m.observables);
+    size_t missing = 0, wrongP = 0;
+    for (const DemMechanism& m : dem.mechanisms) {
+        const Signature sig(m.detectors, m.observables);
+        inDem.insert(sig);
+        const auto it = visible.find(sig);
+        if (it == visible.end())
+            ++missing;
+        else if (std::abs(m.probability - it->second) >
+                 1e-12 * it->second)
+            ++wrongP;
+    }
     EXPECT_EQ(inDem.size(), dem.mechanisms.size())
         << "duplicate mechanism signatures";
     EXPECT_EQ(dem.mechanisms.size(), visible.size());
-    size_t missing = 0;
-    for (const Signature& sig : visible)
-        missing += inDem.count(sig) == 0;
-    EXPECT_EQ(missing, 0u) << "visible components missing from the DEM";
+    EXPECT_EQ(missing, 0u) << "DEM mechanisms no component explains";
+    EXPECT_EQ(wrongP, 0u) << "mechanism probabilities differ from the "
+                             "OR of their components";
     for (OpKind kind : {OpKind::XError, OpKind::ZError,
                         OpKind::Depolarize1, OpKind::Pauli1,
                         OpKind::Depolarize2})

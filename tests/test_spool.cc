@@ -840,6 +840,36 @@ TEST(ArtifactSerde, CompileResultRoundTripPreservesScheduleHash)
                  std::runtime_error);
 }
 
+TEST(ArtifactSerde, CountedSizeEqualsBlobSize)
+{
+    // Without a store the cache counts artifact bytes instead of
+    // serializing; the count must equal the blob it would have written.
+    CampaignSpec spec;
+    TaskSpec t;
+    t.codeName = "bb72";
+    t.architecture = Architecture::Cyclone;
+    t.physicalError = 1e-3;
+    spec.tasks.push_back(t);
+    std::vector<ResolvedTask> tasks = resolveTaskIdentities(spec);
+    ArtifactCache cache;
+    buildTaskArtifacts(tasks[0], cache);
+    const size_t compileBlob =
+        serializeCompileResult(*tasks[0].compiled).size();
+    const size_t demBlob = serializeDem(*tasks[0].dem).size();
+    EXPECT_EQ(serializedCompileResultSize(*tasks[0].compiled),
+              compileBlob);
+    EXPECT_EQ(serializedDemSize(*tasks[0].dem), demBlob);
+    EXPECT_EQ(cache.stats().compileBytes, compileBlob);
+    EXPECT_EQ(cache.stats().demBytes, demBlob);
+    EXPECT_GT(tasks[0].dem->mechanisms.size(), 0u);
+
+    const DetectorErrorModel empty;
+    EXPECT_EQ(serializedDemSize(empty), serializeDem(empty).size());
+    const CompileResult blank;
+    EXPECT_EQ(serializedCompileResultSize(blank),
+              serializeCompileResult(blank).size());
+}
+
 TEST(ArtifactStore, SecondCacheLoadsInsteadOfBuilding)
 {
     ScratchDir scratch("artifact-store");
