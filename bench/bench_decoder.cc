@@ -77,7 +77,6 @@ BpOptions
 benchBp(size_t wave_lanes)
 {
     BpOptions bp;
-    bp.variant = BpOptions::Variant::MinSum;
     bp.waveLanes = wave_lanes;
     return bp;
 }
@@ -122,8 +121,7 @@ BM_DecodeBatch(benchmark::State& state, double p, size_t wave_lanes)
 {
     const DetectorErrorModel& dem = bb72Dem(p);
     BpOsdDecoder decoder(dem, benchBp(wave_lanes));
-    ShotBatch batch;
-    std::vector<uint64_t> predicted;
+    std::vector<ShotBatch> batches;
     uint64_t chunk = 0;
     for (auto _ : state) {
         ChunkPlan plan;
@@ -131,7 +129,7 @@ BM_DecodeBatch(benchmark::State& state, double p, size_t wave_lanes)
         plan.shots = kChunkShots;
         plan.seed = chunkSeed(0xbe7c4ULL, chunk++);
         const ChunkOutcome outcome =
-            runChunk(dem, plan, decoder, batch, predicted);
+            runChunkGroup(dem, &plan, 1, decoder, batches);
         benchmark::DoNotOptimize(outcome.failures);
     }
     attachDecoderCounters(state, decoder.stats());
@@ -146,8 +144,7 @@ BM_DecodeBatchForcedBackend(benchmark::State& state, double p,
     ::setenv(kWaveBackendEnv, backend->name, 1);
     BpOsdDecoder decoder(dem, benchBp(0));
     ::unsetenv(kWaveBackendEnv);
-    ShotBatch batch;
-    std::vector<uint64_t> predicted;
+    std::vector<ShotBatch> batches;
     uint64_t chunk = 0;
     for (auto _ : state) {
         ChunkPlan plan;
@@ -155,7 +152,7 @@ BM_DecodeBatchForcedBackend(benchmark::State& state, double p,
         plan.shots = kChunkShots;
         plan.seed = chunkSeed(0xbe7c4ULL, chunk++);
         const ChunkOutcome outcome =
-            runChunk(dem, plan, decoder, batch, predicted);
+            runChunkGroup(dem, &plan, 1, decoder, batches);
         benchmark::DoNotOptimize(outcome.failures);
     }
     attachDecoderCounters(state, decoder.stats());
@@ -219,8 +216,7 @@ BM_DecodeChunk64(benchmark::State& state, double p)
 {
     const DetectorErrorModel& dem = bb72Dem(p);
     BpOsdDecoder decoder(dem, benchBp(0));
-    ShotBatch batch;
-    std::vector<uint64_t> predicted;
+    std::vector<ShotBatch> batches;
     uint64_t chunk = 0;
     for (auto _ : state) {
         for (size_t k = 0; k < kStagingGroup; ++k) {
@@ -229,7 +225,7 @@ BM_DecodeChunk64(benchmark::State& state, double p)
             plan.shots = kSmallChunkShots;
             plan.seed = chunkSeed(0x57a6edULL, chunk++);
             const ChunkOutcome outcome =
-                runChunk(dem, plan, decoder, batch, predicted);
+                runChunkGroup(dem, &plan, 1, decoder, batches);
             benchmark::DoNotOptimize(outcome.failures);
         }
     }

@@ -72,10 +72,6 @@ runPoint(const CssCode& code, const SyndromeSchedule& schedule,
     exp.roundLatencyUs = latency_us;
     exp.shots = n_shots;
     exp.seed = seed;
-    // Min-sum BP is ~5x faster than product-sum and, with the OSD
-    // order-lambda sweep, decodes the catalog's qLDPC codes with the
-    // same single-fault accuracy (see tests + EXPERIMENTS.md).
-    exp.bp.variant = BpOptions::Variant::MinSum;
     return runZMemoryExperiment(code, schedule, exp);
 }
 

@@ -18,23 +18,6 @@ chunkSeed(uint64_t taskSeed, size_t index)
 }
 
 ChunkOutcome
-runChunk(const DetectorErrorModel& dem, const ChunkPlan& plan,
-         BpOsdDecoder& decoder, ShotBatch& batch,
-         std::vector<uint64_t>& predicted)
-{
-    Rng rng(plan.seed);
-    sampleDemBatch(dem, plan.shots, rng, batch);
-    decoder.decodeBatch(batch, predicted);
-    ChunkOutcome outcome;
-    outcome.shots = plan.shots;
-    for (size_t s = 0; s < plan.shots; ++s) {
-        if (predicted[s] != batch.observables[s])
-            ++outcome.failures;
-    }
-    return outcome;
-}
-
-ChunkOutcome
 runChunkGroup(const DetectorErrorModel& dem, const ChunkPlan* plans,
               size_t count, BpOsdDecoder& decoder,
               std::vector<ShotBatch>& batches)

@@ -650,12 +650,10 @@ parseCampaignSpec(const std::string& text)
         } else if (key == "seed") {
             t.seed = parseSpec<size_t>(lineno, key, value);
         } else if (key == "bp") {
-            if (value == "minsum")
-                t.bp.variant = BpOptions::Variant::MinSum;
-            else if (value == "productsum")
-                t.bp.variant = BpOptions::Variant::ProductSum;
-            else
-                specError(lineno, "bp must be minsum or productsum");
+            if (value != "minsum")
+                specError(lineno, "bp must be minsum (the only BP "
+                                  "variant)");
+            t.bp.variant = BpOptions::Variant::MinSum;
         } else if (key == "bp_iters") {
             t.bp.maxIterations = parseSpec<size_t>(lineno, key, value);
         } else {

@@ -23,7 +23,6 @@ BpDecoder::BpDecoder(std::shared_ptr<const BpGraph> graph,
     // Per-check scratch is bounded by the largest check degree; size
     // it once here so the check pass never reallocates.
     msgScratch_.resize(graph_->maxCheckDegree);
-    tanhScratch_.resize(graph_->maxCheckDegree);
 }
 
 void
@@ -64,7 +63,6 @@ void
 BpDecoder::checkToVarUpdate(const BitVec& syndrome)
 {
     const BpGraph& g = *graph_;
-    const bool min_sum = options_.variant == BpOptions::Variant::MinSum;
     for (size_t c = 0; c < g.numChecks; ++c) {
         const size_t begin = g.checkOffset[c];
         const size_t end = g.checkOffset[c + 1];
@@ -79,73 +77,29 @@ BpDecoder::checkToVarUpdate(const BitVec& syndrome)
             msgScratch_[s - begin] = std::clamp(
                 total - msgCheckToVar_[s], -clamp_, clamp_);
         }
-        if (min_sum) {
-            // Track the two smallest magnitudes and the sign product.
-            float min1 = 3.0e38f, min2 = 3.0e38f;
-            size_t argmin = begin;
-            float sign_product = syndrome_sign;
-            for (size_t s = begin; s < end; ++s) {
-                const float m = msgScratch_[s - begin];
-                const float mag = std::fabs(m);
-                if (m < 0.0f)
-                    sign_product = -sign_product;
-                if (mag < min1) {
-                    min2 = min1;
-                    min1 = mag;
-                    argmin = s;
-                } else if (mag < min2) {
-                    min2 = mag;
-                }
+        // Track the two smallest magnitudes and the sign product.
+        float min1 = 3.0e38f, min2 = 3.0e38f;
+        size_t argmin = begin;
+        float sign_product = syndrome_sign;
+        for (size_t s = begin; s < end; ++s) {
+            const float m = msgScratch_[s - begin];
+            const float mag = std::fabs(m);
+            if (m < 0.0f)
+                sign_product = -sign_product;
+            if (mag < min1) {
+                min2 = min1;
+                min1 = mag;
+                argmin = s;
+            } else if (mag < min2) {
+                min2 = mag;
             }
-            for (size_t s = begin; s < end; ++s) {
-                const float m = msgScratch_[s - begin];
-                const float mag = s == argmin ? min2 : min1;
-                const float sign =
-                    sign_product * (m < 0.0f ? -1.0f : 1.0f);
-                msgCheckToVar_[s] =
-                    sign * minSumScale_ * mag;
-            }
-        } else {
-            // Product-sum via the two-pass tanh-product trick: one
-            // running product, then one division and one log per edge
-            // (2 atanh(x) = log((1+x)/(1-x))).
-            float prod = 1.0f;
-            int zero_count = 0;
-            size_t zero_slot = begin;
-            float sign_product = syndrome_sign;
-            for (size_t s = begin; s < end; ++s) {
-                const float m = msgScratch_[s - begin];
-                if (m < 0.0f)
-                    sign_product = -sign_product;
-                const float t = std::tanh(std::fabs(m) * 0.5f);
-                tanhScratch_[s - begin] = t;
-                if (t < 1e-12f) {
-                    ++zero_count;
-                    zero_slot = s;
-                } else {
-                    prod *= t;
-                }
-            }
-            for (size_t s = begin; s < end; ++s) {
-                const float m = msgScratch_[s - begin];
-                float out;
-                if (zero_count > 1 || (zero_count == 1 && s != zero_slot)) {
-                    out = 0.0f;
-                } else {
-                    float t_other = prod;
-                    if (zero_count == 0) {
-                        t_other = prod /
-                            std::max(tanhScratch_[s - begin], 1e-12f);
-                    }
-                    // One float ulp below 1: keeps the log finite.
-                    t_other = std::min(t_other, 1.0f - 6.0e-8f);
-                    out = std::log((1.0f + t_other) / (1.0f - t_other));
-                }
-                const float sign =
-                    sign_product * (m < 0.0f ? -1.0f : 1.0f);
-                msgCheckToVar_[s] = std::clamp(
-                    sign * out, -clamp_, clamp_);
-            }
+        }
+        for (size_t s = begin; s < end; ++s) {
+            const float m = msgScratch_[s - begin];
+            const float mag = s == argmin ? min2 : min1;
+            const float sign =
+                sign_product * (m < 0.0f ? -1.0f : 1.0f);
+            msgCheckToVar_[s] = sign * minSumScale_ * mag;
         }
     }
 }

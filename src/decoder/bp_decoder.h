@@ -2,15 +2,15 @@
  * @file
  * Belief propagation over a detector error model.
  *
- * Checks are detectors, variables are error mechanisms. Supports
- * normalized min-sum (default; the variant used throughout the BP+OSD
- * literature) and product-sum updates. Decoding stops as soon as the
- * hard decision reproduces the syndrome.
+ * Checks are detectors, variables are error mechanisms. Check updates
+ * are normalized min-sum, the variant used throughout the BP+OSD
+ * literature. Decoding stops as soon as the hard decision reproduces
+ * the syndrome.
  *
  * Message and posterior storage is flat structure-of-arrays float:
  * single precision halves the working set of the edge loops (the BP
  * inner loops are memory-bound on qLDPC detector graphs) and is far
- * more resolution than min-sum/product-sum message passing needs —
+ * more resolution than min-sum message passing needs —
  * hard decisions only depend on signs and coarse magnitudes. The hard
  * decision itself is bit-packed, so syndrome verification is a
  * word-parity sweep over the check CSR instead of a byte load per
@@ -37,14 +37,11 @@ namespace cyclone {
 /** BP configuration. */
 struct BpOptions
 {
-    enum class Variant { MinSum, ProductSum };
+    /** Check-update rule. Min-sum is the only one; the field stays so
+     *  specs and task content hashes can name it. */
+    enum class Variant { MinSum };
 
-    /**
-     * Product-sum is the default: on the degenerate detector graphs
-     * of qLDPC codes its posteriors feed OSD noticeably better coset
-     * choices than min-sum (verified by the single-fault tests).
-     */
-    Variant variant = Variant::ProductSum;
+    Variant variant = Variant::MinSum;
     size_t maxIterations = 32;
     /** Normalization factor for min-sum check messages. */
     double minSumScale = 0.9;
@@ -53,29 +50,16 @@ struct BpOptions
 
     /**
      * Lane width of the batched wave kernel: 0 lets backend dispatch
-     * pick the widest rung this host supports (L = 16 zmm on AVX-512,
-     * L = 8 ymm on AVX2 — see decoder_backend.h), 1 disables the wave
+     * pick the widest rung this host supports (L = 16 on AVX-512,
+     * L = 8 on AVX2 — see decoder_backend.h), 1 disables the wave
      * kernel (the batch path decodes distinct syndromes one at a time
-     * through the scalar core), and other values cap the dispatch at
-     * the nearest supported width at or below. Purely a performance
-     * knob — every
-     * width produces bit-identical decodes (enforced by
+     * through the scalar core), and other values skip every rung
+     * wider than the request. Purely a performance knob — every rung
+     * produces bit-identical decodes (enforced by
      * tests/test_wave_decoder.cc), so it is deliberately excluded
      * from campaign content hashes.
      */
     size_t waveLanes = 0;
-
-    /**
-     * Batch the OSD stage of the wave pipeline: non-converged lanes
-     * are collected across wave groups and handed to
-     * OsdDecoder::solveBatch (shared eliminations + bit-sliced
-     * multi-RHS back-substitution) instead of one scalar solve per
-     * lane. Purely a performance knob — the batched stage is
-     * bit-identical to per-shot OSD (enforced by
-     * tests/test_decoder_fuzz.cc), so it is excluded from campaign
-     * content hashes just like waveLanes.
-     */
-    bool osdBatch = true;
 };
 
 /** Belief-propagation decoder core. */
@@ -131,7 +115,6 @@ class BpDecoder
 
     std::vector<float> posterior_;
     BitVec hard_;
-    std::vector<float> tanhScratch_;
     std::vector<float> msgScratch_;
     bool hardChanged_ = false;
     size_t lastIterations_ = 0;

@@ -22,63 +22,35 @@ BpWaveDecoder::resolveLaneWidth(size_t requested)
 
 BpWaveDecoder::BpWaveDecoder(std::shared_ptr<const BpGraph> graph,
                              BpOptions options)
-    : graph_(std::move(graph)), options_(options),
-      clamp_(static_cast<float>(options.clamp)),
-      minSumScale_(static_cast<float>(options.minSumScale))
-{
-    const DecoderBackendChoice choice =
-        selectDecoderBackend(options_.waveLanes);
-    CYCLONE_ASSERT(choice.lanes > 1,
-                   "BpWaveDecoder constructed with no wave backend "
-                   "available (waveLanes " << options_.waveLanes
-                   << ") — check runtimeSupported() first");
-    backend_ = choice.backend;
-    laneWidth_ = choice.lanes;
-    kernels_ = backend_->kernels(laneWidth_);
-    initState();
-}
+    : BpWaveDecoder(std::move(graph), options,
+                    selectDecoderBackend(options.waveLanes))
+{}
 
 BpWaveDecoder::BpWaveDecoder(std::shared_ptr<const BpGraph> graph,
                              BpOptions options,
                              const DecoderBackend& backend)
     : graph_(std::move(graph)), options_(options), backend_(&backend),
+      laneWidth_(backend.lanes),
       clamp_(static_cast<float>(options.clamp)),
       minSumScale_(static_cast<float>(options.minSumScale))
 {
-    CYCLONE_ASSERT(backend.supported(),
+    CYCLONE_ASSERT(backend.kernels != nullptr && backend.supported(),
                    "backend '" << backend.name
-                   << "' is not supported on this host");
-    laneWidth_ = backendLaneWidth(backend, options_.waveLanes);
-    CYCLONE_ASSERT(laneWidth_ > 1,
-                   "backend '" << backend.name
-                   << "' serves no lane width for waveLanes "
-                   << options_.waveLanes);
-    kernels_ = backend.kernels(laneWidth_);
-    initState();
-}
-
-void
-BpWaveDecoder::initState()
-{
-    const size_t L = laneWidth_;
-    if (options_.variant == BpOptions::Variant::MinSum &&
-        kernels_->minSumCompressed) {
-        // All-zero compressed state decodes every message to +0.0f —
-        // the same initial messages the full array starts from.
-        checkMin1_.assign(graph_->numChecks * L, 0.0f);
-        checkMin2_.assign(graph_->numChecks * L, 0.0f);
-        edgeSignBits_.assign(graph_->numEdges, 0);
-        edgeMinBits_.assign(graph_->numEdges, 0);
-    } else {
-        msg_.assign(graph_->numEdges * L, 0.0f);
-    }
-    posterior_.assign(graph_->numVars * L, 0.0f);
-    hardMask_.assign(graph_->numVars, 0);
-    synMask_.assign(graph_->numChecks, 0);
-    synSign_.assign(graph_->numChecks * L, 1.0f);
-    msgScratch_.resize(graph_->maxCheckDegree * L);
-    tanhScratch_.resize(graph_->maxCheckDegree * L);
+                   << "' is no wave rung this host can run (waveLanes "
+                   << options_.waveLanes
+                   << ") — check runtimeSupported() first");
     const BpGraph& g = *graph_;
+    const size_t L = laneWidth_;
+    // All-zero compressed state decodes every message to +0.0f.
+    checkMin1_.assign(g.numChecks * L, 0.0f);
+    checkMin2_.assign(g.numChecks * L, 0.0f);
+    edgeSignBits_.assign(g.numEdges, 0);
+    edgeMinBits_.assign(g.numEdges, 0);
+    posterior_.assign(g.numVars * L, 0.0f);
+    hardMask_.assign(g.numVars, 0);
+    synMask_.assign(g.numChecks, 0);
+    synSign_.assign(g.numChecks * L, 1.0f);
+    msgScratch_.resize(g.maxCheckDegree * L);
     initialSyndrome_.resize(g.numChecks);
     for (size_t c = 0; c < g.numChecks; ++c) {
         bool parity = false;
@@ -93,7 +65,6 @@ BpWaveDecoder::kernelCtx()
 {
     WaveKernelCtx ctx;
     ctx.graph = graph_.get();
-    ctx.msg = msg_.data();
     ctx.checkMin1 = checkMin1_.data();
     ctx.checkMin2 = checkMin2_.data();
     ctx.edgeSignBits = edgeSignBits_.data();
@@ -102,7 +73,6 @@ BpWaveDecoder::kernelCtx()
     ctx.hardMask = hardMask_.data();
     ctx.synSign = synSign_.data();
     ctx.msgScratch = msgScratch_.data();
-    ctx.tanhScratch = tanhScratch_.data();
     ctx.clamp = clamp_;
     ctx.minSumScale = minSumScale_;
     return ctx;
@@ -141,20 +111,14 @@ BpWaveDecoder::loadLane(size_t lane, const BitVec& syndrome)
         synSign_[c * L + lane] = set ? -1.0f : 1.0f;
     }
     // All-zero messages.
-    if (options_.variant == BpOptions::Variant::MinSum &&
-        kernels_->minSumCompressed) {
-        for (size_t c = 0; c < g.numChecks; ++c) {
-            checkMin1_[c * L + lane] = 0.0f;
-            checkMin2_[c * L + lane] = 0.0f;
-        }
-        const uint32_t keep = ~static_cast<uint32_t>(bit);
-        for (size_t s = 0; s < g.numEdges; ++s) {
-            edgeSignBits_[s] &= keep;
-            edgeMinBits_[s] &= keep;
-        }
-    } else {
-        for (size_t s = 0; s < g.numEdges; ++s)
-            msg_[s * L + lane] = 0.0f;
+    for (size_t c = 0; c < g.numChecks; ++c) {
+        checkMin1_[c * L + lane] = 0.0f;
+        checkMin2_[c * L + lane] = 0.0f;
+    }
+    const uint32_t keep = ~static_cast<uint32_t>(bit);
+    for (size_t s = 0; s < g.numEdges; ++s) {
+        edgeSignBits_[s] &= keep;
+        edgeMinBits_[s] &= keep;
     }
     // The iteration-0 posterior pass over zero messages adds +0.0f to
     // each prior, which leaves every prior (never -0.0f) unchanged.
@@ -171,12 +135,8 @@ BpWaveDecoder::decodeAll(const BitVec* const* syndromes, size_t count,
                          const RetireFn& onRetire)
 {
     const size_t L = laneWidth_;
-    const bool min_sum = options_.variant == BpOptions::Variant::MinSum;
     const WaveKernelCtx ctx = kernelCtx();
-    const auto check_pass =
-        min_sum ? kernels_->checkMinSum : kernels_->checkProdSum;
-    const auto posterior_pass = min_sum ? kernels_->posteriorUpdateMinSum
-                                        : kernels_->posteriorUpdate;
+    const WaveKernelTable& kernels = *backend_->kernels;
     size_t laneIndex[64];
     size_t next = 0;
     auto retire = [&](size_t l, bool converged) {
@@ -204,8 +164,8 @@ BpWaveDecoder::decodeAll(const BitVec* const* syndromes, size_t count,
         live |= fill(l);
     size_t steps = 0;
     while (live != 0) {
-        check_pass(ctx);
-        posterior_pass(ctx);
+        kernels.checkMinSum(ctx);
+        kernels.posteriorUpdate(ctx);
         ++steps;
         // Verifying every step is equivalent to the scalar decoder's
         // change-gated verification (an unmoved decision re-verifies

@@ -4,19 +4,20 @@
  *
  * The wave decoder runs the exact BpDecoder message schedule on up to
  * L syndromes simultaneously. State is lane-major structure-of-arrays
- * — msg[edge][lane], posterior[var][lane], priors broadcast across
- * lanes — so the posterior gather and the min-sum / product-sum check
- * pass become fixed-width inner loops over L floats that the compiler
- * autovectorizes. Hard decisions are per-variable lane bitmasks, so
+ * — posterior[var][lane], per-check minima [check][lane], priors
+ * broadcast across lanes — so the posterior pass and the min-sum
+ * check pass become fixed-width inner loops over L floats, one SIMD
+ * word each. Hard decisions are per-variable lane bitmasks, so
  * syndrome verification collapses to one XOR per edge and one compare
  * per check, simultaneously for every lane.
  *
  * The hot passes themselves live behind the DecoderBackend seam
  * (decoder_backend.h): each SIMD-ladder rung is a per-ISA translation
- * unit exporting a kernel table, and this class runs the iteration
- * schedule, convergence bookkeeping and verification against whichever
- * table dispatch selected. L is therefore a runtime property here, not
- * a template parameter.
+ * unit exporting a kernel table at its one lane width (avx512 L = 16,
+ * avx2 L = 8), and this class runs the iteration schedule, convergence
+ * bookkeeping and verification against whichever table dispatch
+ * selected. L is therefore a runtime property here, not a template
+ * parameter.
  *
  * Lanes are persistent (decodeAll): a lane retires when it verifies,
  * or after maxIterations check passes plus the epilogue posterior pass
@@ -34,15 +35,17 @@
  * counts match too: verification runs every step here, and when the
  * scalar decoder skips it (no decision bit moved) the skipped result
  * provably equals the reused one. tests/test_wave_decoder.cc enforces
- * the equivalence across lane widths, backends and refill patterns.
+ * the equivalence on every rung and across refill patterns.
  */
 
 #ifndef CYCLONE_DECODER_BP_WAVE_DECODER_H
 #define CYCLONE_DECODER_BP_WAVE_DECODER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -51,6 +54,46 @@
 #include "decoder/decoder_backend.h"
 
 namespace cyclone {
+
+/**
+ * Allocator for lane-major float rows: 64-byte aligned, so an L = 16
+ * row (one zmm) never straddles two cache lines and L = 8 rows pack
+ * two per line. Default vector storage is only 16-byte aligned, which
+ * left the wave kernels' speed to where the heap put each array
+ * (measured: the same L = 16 kernel ran 25% slower after an unrelated
+ * allocation moved).
+ */
+template <typename T>
+struct LaneRowAllocator
+{
+    using value_type = T;
+
+    LaneRowAllocator() = default;
+
+    template <typename U>
+    LaneRowAllocator(const LaneRowAllocator<U>&)
+    {}
+
+    T*
+    allocate(size_t n)
+    {
+        return static_cast<T*>(
+            ::operator new(n * sizeof(T), std::align_val_t{64}));
+    }
+
+    void
+    deallocate(T* p, size_t)
+    {
+        ::operator delete(p, std::align_val_t{64});
+    }
+
+    template <typename U>
+    bool
+    operator==(const LaneRowAllocator<U>&) const
+    {
+        return true;
+    }
+};
 
 /** BP over L syndrome lanes at once. */
 class BpWaveDecoder
@@ -61,9 +104,9 @@ class BpWaveDecoder
      * request to on this host (selectDecoderBackend(requested).lanes):
      * the widest supported rung at or below the request, honoring the
      * CYCLONE_WAVE_BACKEND override. Returns 1 when only the scalar
-     * rung is available (pre-AVX2 x86 host, or a forced scalar
-     * override) — callers treat 1 as "wave kernel disabled" and must
-     * not construct a BpWaveDecoder.
+     * rung is available (pre-AVX2 host, a build without the x86
+     * kernels, or a forced scalar override) — callers treat 1 as
+     * "wave kernel disabled" and must not construct a BpWaveDecoder.
      */
     static size_t resolveLaneWidth(size_t requested);
 
@@ -72,8 +115,8 @@ class BpWaveDecoder
      * kernel functions are compiled with function-scoped target
      * attributes on x86-64 builds). When false, BpOsdDecoder silently
      * uses the scalar batch core instead; constructing or driving a
-     * BpWaveDecoder directly is then undefined. Always true on
-     * non-x86 builds (the generic rung runs everywhere).
+     * BpWaveDecoder directly is then undefined. Always false in
+     * builds without the x86 kernels.
      */
     static bool runtimeSupported();
 
@@ -83,8 +126,8 @@ class BpWaveDecoder
 
     /**
      * Explicit backend, for forced-dispatch tests and per-rung
-     * benches. `backend` must be supported on this host and must
-     * serve options.waveLanes (backendLaneWidth > 1).
+     * benches. `backend` must be a wave rung this host supports; it
+     * decodes at its own lane width whatever options.waveLanes says.
      */
     BpWaveDecoder(std::shared_ptr<const BpGraph> graph,
                   BpOptions options, const DecoderBackend& backend);
@@ -132,7 +175,6 @@ class BpWaveDecoder
     void laneHardDecision(size_t lane, BitVec& out) const;
 
   private:
-    void initState();
     /** Load `syndrome` into lane with zero messages, at iteration 0. */
     void loadLane(size_t lane, const BitVec& syndrome);
     /** Lane mask of lanes whose hard decision matches their syndrome. */
@@ -142,37 +184,29 @@ class BpWaveDecoder
     std::shared_ptr<const BpGraph> graph_;
     BpOptions options_;
     const DecoderBackend* backend_ = nullptr;
-    const WaveKernelTable* kernels_ = nullptr;
     size_t laneWidth_ = 0;
     float clamp_ = 50.0f;
     float minSumScale_ = 0.9f;
 
     // Lane-major state: element i*L + l is lane l's value of entity i.
-    // Min-sum waves on rungs with minSumCompressed store messages
-    // compressed (two scaled minima per check + two packed lane-bit
-    // words per edge, see wave_kernels.h) instead of msg_ — 8x less
-    // memory traffic per iteration at L = 16, which is what the wide
-    // rungs are bound by on large DEMs. Decode-on-read is
-    // bit-identical to the full array, so the exactness invariant is
-    // unchanged. Product-sum, and min-sum on uncompressed rungs, keep
-    // the full message array.
-    std::vector<float> msg_;       ///< numEdges x L, check-CSR order
-                                   ///< (uncompressed rungs).
-    std::vector<float> checkMin1_; ///< numChecks x L (compressed).
-    std::vector<float> checkMin2_; ///< numChecks x L (compressed).
-    std::vector<uint32_t> edgeSignBits_; ///< numEdges (compressed).
-    std::vector<uint32_t> edgeMinBits_;  ///< numEdges (compressed).
-    std::vector<float> posterior_; ///< numVars x L.
+    // Messages are stored compressed — two scaled minima per check
+    // plus two packed lane-bit words per edge, see wave_kernels.h —
+    // and decoded on read to exactly the scalar decoder's floats.
+    using LaneRows = std::vector<float, LaneRowAllocator<float>>;
+    LaneRows checkMin1_; ///< numChecks x L.
+    LaneRows checkMin2_; ///< numChecks x L.
+    std::vector<uint32_t> edgeSignBits_; ///< numEdges.
+    std::vector<uint32_t> edgeMinBits_;  ///< numEdges.
+    LaneRows posterior_; ///< numVars x L.
     std::vector<uint64_t> hardMask_; ///< per var: bit l = lane l's bit.
     std::vector<uint64_t> synMask_;  ///< per check: lane syndrome bits.
-    std::vector<float> synSign_;     ///< numChecks x L: +-1 per lane.
-    std::vector<float> msgScratch_;  ///< maxCheckDegree x L.
-    std::vector<float> tanhScratch_; ///< maxCheckDegree x L.
+    LaneRows synSign_;     ///< numChecks x L: +-1 per lane.
+    LaneRows msgScratch_;  ///< maxCheckDegree x L.
 
     /** Syndrome of the iteration-0 hard decision (prior signs). */
     BitVec initialSyndrome_;
     /** decodeWave's per-syndrome copies of posterior_/hardMask_. */
-    std::vector<float> snapPosterior_;
+    LaneRows snapPosterior_;
     std::vector<uint64_t> snapHard_;
 
     uint64_t convergedMask_ = 0;

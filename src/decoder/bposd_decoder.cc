@@ -71,11 +71,10 @@ BpOsdDecoder::BpOsdDecoder(const DetectorErrorModel& dem, BpOptions options)
       // degrades to the scalar backend (lanes == 1) and the batch path
       // falls back to the scalar core — identical results, the wave is
       // purely a throughput feature.
-      backendChoice_(selectDecoderBackend(options.waveLanes)),
-      waveEnabled_(backendChoice_.lanes > 1), bp_(graph_, options),
-      osd_(dem)
+      backend_(&selectDecoderBackend(options.waveLanes)),
+      bp_(graph_, options), osd_(dem)
 {
-    stats_.backend = backendChoice_.backend->name;
+    stats_.backend = backend_->name;
 }
 
 uint64_t
@@ -192,33 +191,6 @@ BpOsdDecoder::flushOsdBatch()
         memoEntries_[pending.memoIdx].outcome = outcome;
     }
     osdPending_.clear();
-}
-
-BpOsdDecoder::DecodeOutcome
-BpOsdDecoder::waveLaneOutcome(size_t lane, const BitVec& syndrome)
-{
-    // Mirror of decodeCore over one wave lane: the lane's posterior
-    // and hard decision are float/bit-identical to what the scalar
-    // core would have produced for this syndrome, so the OSD fallback
-    // sees exactly the same inputs.
-    DecodeOutcome outcome;
-    outcome.converged = wave_->laneConverged(lane);
-    outcome.iterations = wave_->laneIterations(lane);
-
-    if (outcome.converged) {
-        wave_->laneHardDecision(lane, hardScratch_);
-        outcome.observables = observablesOf(hardScratch_);
-        return outcome;
-    }
-    wave_->lanePosterior(lane, posteriorScratch_);
-    if (osd_.decode(syndrome, posteriorScratch_, errorScratch_)) {
-        outcome.observables = observablesOf(errorScratch_);
-    } else {
-        outcome.osdFailed = true;
-        wave_->laneHardDecision(lane, hardScratch_);
-        outcome.observables = observablesOf(hardScratch_);
-    }
-    return outcome;
 }
 
 void
@@ -354,10 +326,10 @@ BpOsdDecoder::flushStaged()
     // refilling wave lanes, or one at a time through the scalar
     // core when the wave kernel is disabled (waveLanes == 1, or no
     // supported backend).
-    if (waveEnabled_ && wave_ == nullptr && !memoEntries_.empty())
-        wave_ = std::make_unique<BpWaveDecoder>(
-            graph_, options_, *backendChoice_.backend);
-    if (waveEnabled_ && wave_ != nullptr) {
+    if (backend_->lanes > 1 && wave_ == nullptr && !memoEntries_.empty())
+        wave_ = std::make_unique<BpWaveDecoder>(graph_, options_,
+                                                *backend_);
+    if (wave_ != nullptr) {
         // Lanes refill as they retire, so the stable weight sort only
         // fixes a deterministic order; lanes never interact, so no
         // order changes an outcome. (Sorting in place stales
@@ -379,14 +351,19 @@ BpOsdDecoder::flushStaged()
         const size_t steps = wave_->decodeAll(
             laneSyndromes_.data(), n, [&](size_t i, size_t lane) {
                 stats_.waveLaneItersUseful += wave_->laneIterations(lane);
-                if (options_.osdBatch && !wave_->laneConverged(lane)) {
-                    // Defer OSD: stage this lane for the batched
-                    // solve instead of a scalar solve per lane.
+                if (!wave_->laneConverged(lane)) {
+                    // Defer OSD: stage this lane for the batched solve.
                     bufferWaveLaneForOsd(lane, static_cast<uint32_t>(i));
                     return;
                 }
-                MemoEntry& entry = memoEntries_[i];
-                entry.outcome = waveLaneOutcome(lane, entry.syndrome);
+                // The lane's hard decision is bit-identical to the
+                // scalar core's for this syndrome.
+                DecodeOutcome outcome;
+                outcome.converged = true;
+                outcome.iterations = wave_->laneIterations(lane);
+                wave_->laneHardDecision(lane, hardScratch_);
+                outcome.observables = observablesOf(hardScratch_);
+                memoEntries_[i].outcome = outcome;
             });
         stats_.waveLaneItersPaid += steps * L;
         flushOsdBatch();

@@ -110,7 +110,7 @@ struct BpOsdStats
     size_t stagedChunks = 0;
 
     /** SIMD-ladder backend the decoder dispatched to ("scalar",
-     *  "generic", "avx2", "avx512"). */
+     *  "avx2", "avx512"). */
     std::string backend;
 
     /**
@@ -230,14 +230,10 @@ class BpOsdDecoder : public Decoder
     const BpOsdStats& stats() const { return stats_; }
 
     /** Lane width of the batched wave kernel (1 = disabled). */
-    size_t waveLaneWidth() const { return backendChoice_.lanes; }
+    size_t waveLaneWidth() const { return backend_->lanes; }
 
     /** Name of the dispatched SIMD-ladder backend. */
-    const char*
-    backendName() const
-    {
-        return backendChoice_.backend->name;
-    }
+    const char* backendName() const { return backend_->name; }
 
   private:
     /** What one full BP(+OSD) solve did, for stats and memo replay. */
@@ -269,7 +265,6 @@ class BpOsdDecoder : public Decoder
     };
 
     DecodeOutcome decodeCore(const BitVec& syndrome);
-    DecodeOutcome waveLaneOutcome(size_t lane, const BitVec& syndrome);
     void bufferWaveLaneForOsd(size_t lane, uint32_t memoIdx);
     void flushOsdBatch();
     void applyOutcomeStats(const DecodeOutcome& outcome);
@@ -279,10 +274,9 @@ class BpOsdDecoder : public Decoder
     const DetectorErrorModel& dem_;
     std::shared_ptr<const BpGraph> graph_;
     BpOptions options_;
-    DecoderBackendChoice backendChoice_;
-    bool waveEnabled_ = false;
+    const DecoderBackend* backend_;
     BpDecoder bp_;
-    /** Lazily built on the first flush (the wave state is numEdges x
+    /** Lazily built on the first flush (the wave state is numVars x
      *  L floats — per-shot-only users never pay for it). */
     std::unique_ptr<BpWaveDecoder> wave_;
     OsdDecoder osd_;

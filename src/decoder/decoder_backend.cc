@@ -12,16 +12,6 @@ alwaysSupported()
     return true;
 }
 
-#if defined(CYCLONE_WAVE_KERNEL_AVX2)
-
-bool
-avx2Supported()
-{
-    return __builtin_cpu_supports("avx2");
-}
-
-#endif
-
 #if defined(CYCLONE_WAVE_KERNEL_AVX512)
 
 bool
@@ -32,27 +22,33 @@ avx512Supported()
 }
 
 const DecoderBackend kAvx512Backend{
-    "avx512", 16, &avx512Supported, &waveKernelTablesAvx512};
+    "avx512", 16, &avx512Supported, &kWaveKernelsAvx512};
 
 #endif
 
 #if defined(CYCLONE_WAVE_KERNEL_AVX2)
 
+bool
+avx2Supported()
+{
+    return __builtin_cpu_supports("avx2");
+}
+
 const DecoderBackend kAvx2Backend{
-    "avx2", 8, &avx2Supported, &waveKernelTablesAvx2};
-
-#else
-
-// Preferred width 8 matches the old default: 16 generic-vector lanes
-// without an attributed kernel lower to poor code on most baselines
-// and pay more idle-lane waste in the tail of each flush.
-const DecoderBackend kGenericBackend{
-    "generic", 8, &alwaysSupported, &waveKernelTablesGeneric};
+    "avx2", 8, &avx2Supported, &kWaveKernelsAvx2};
 
 #endif
 
 const DecoderBackend kScalarBackend{
     "scalar", 1, &alwaysSupported, nullptr};
+
+/** Whether wave rung `b` runs here and fits a waveLanes request. */
+bool
+servesRequest(const DecoderBackend& b, size_t requestedLanes)
+{
+    return b.kernels != nullptr && b.supported() &&
+        (requestedLanes == 0 || b.lanes <= requestedLanes);
+}
 
 } // namespace
 
@@ -66,8 +62,6 @@ decoderBackendRegistry()
 #endif
 #if defined(CYCLONE_WAVE_KERNEL_AVX2)
         r.push_back(&kAvx2Backend);
-#else
-        r.push_back(&kGenericBackend);
 #endif
         r.push_back(&kScalarBackend);
         return r;
@@ -85,56 +79,31 @@ findDecoderBackend(std::string_view name)
     return nullptr;
 }
 
-size_t
-backendLaneWidth(const DecoderBackend& backend, size_t requested)
-{
-    if (backend.kernels == nullptr)
-        return 0;
-    size_t cap = requested == 0 ? backend.preferredLanes : requested;
-    if (cap < 4)
-        cap = 4; // Requests below the narrowest kernel clamp up.
-    size_t best = 0;
-    for (const size_t w : {size_t{4}, size_t{8}, size_t{16}}) {
-        if (w <= cap && backend.kernels(w) != nullptr)
-            best = w;
-    }
-    return best;
-}
-
-DecoderBackendChoice
+const DecoderBackend&
 selectDecoderBackend(size_t requestedLanes)
 {
-    const auto& registry = decoderBackendRegistry();
-    const DecoderBackend* scalar = registry.back();
     if (requestedLanes == 1)
-        return {scalar, 1};
+        return kScalarBackend;
 
     if (const char* env = std::getenv(kWaveBackendEnv)) {
         const std::string_view forced(env);
         if (!forced.empty() && forced != "auto") {
             const DecoderBackend* b = findDecoderBackend(forced);
-            if (b != nullptr && b->supported()) {
-                if (b->kernels == nullptr)
-                    return {b, 1};
-                const size_t lanes =
-                    backendLaneWidth(*b, requestedLanes);
-                if (lanes > 1)
-                    return {b, lanes};
-            }
+            if (b != nullptr && (b->kernels == nullptr
+                                     ? b->supported()
+                                     : servesRequest(*b, requestedLanes)))
+                return *b;
             // Unknown names, unsupported rungs and width-incompatible
             // forces fall through to auto dispatch: the override is a
             // throughput knob and must never strand a decode.
         }
     }
 
-    for (const DecoderBackend* b : registry) {
-        if (b->kernels == nullptr || !b->supported())
-            continue;
-        const size_t lanes = backendLaneWidth(*b, requestedLanes);
-        if (lanes > 1)
-            return {b, lanes};
+    for (const DecoderBackend* b : decoderBackendRegistry()) {
+        if (servesRequest(*b, requestedLanes))
+            return *b;
     }
-    return {scalar, 1};
+    return kScalarBackend;
 }
 
 } // namespace cyclone

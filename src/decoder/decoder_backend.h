@@ -3,13 +3,14 @@
  * The DecoderBackend seam: registry and runtime dispatch for the
  * decode stack's SIMD ladder.
  *
- * A backend is one rung of the ladder — "scalar" (the per-syndrome
- * batch core, no wave kernel), "avx2" (L = 8 ymm wave kernel,
- * narrowable to 4), "avx512" (L = 16 zmm wave kernel) or "generic"
- * (vector-extension kernels at the baseline ISA, the SIMD rung of
- * non-x86 builds). All rungs are bit-identical by construction —
- * lanes never interact and every lane runs the scalar float sequence
- * — so dispatch is purely a throughput decision:
+ * A backend is one rung of the ladder, each at one lane width:
+ * "avx512" (L = 16 zmm wave kernel), "avx2" (L = 8 ymm wave kernel)
+ * and "scalar" (the per-syndrome batch core, no wave kernel). The two
+ * wave rungs exist only in builds that enable the x86 kernels
+ * (CYCLONE_WAVE_SIMD on x86-64); every other build decodes on the
+ * scalar rung. All rungs are bit-identical by construction — lanes
+ * never interact and every lane runs the scalar float sequence — so
+ * dispatch is purely a throughput decision:
  *
  *   1. If the CYCLONE_WAVE_BACKEND environment variable names a
  *      compiled-in, CPUID-supported backend, it wins (the forced-
@@ -17,15 +18,12 @@
  *      backends this host cannot run, fall through to auto dispatch —
  *      an override can change speed, never results.
  *   2. Otherwise the widest supported rung wins: avx512 -> avx2 ->
- *      scalar on x86 builds, generic -> scalar elsewhere.
+ *      scalar.
  *
  * A requested lane width (BpOptions::waveLanes) narrows the choice:
- * a rung whose kernels are all wider than the request is skipped
- * (e.g. waveLanes = 8 on an AVX-512 host selects avx2/L8, and
- * waveLanes = 1 always selects scalar).
- *
- * Later rungs (GPU, streaming slabs) drop in as new registry entries
- * behind the same two functions.
+ * a rung wider than the request is skipped (e.g. waveLanes = 8 on an
+ * AVX-512 host selects avx2, and waveLanes = 1 — or any request
+ * below 8 — selects scalar).
  */
 
 #ifndef CYCLONE_DECODER_DECODER_BACKEND_H
@@ -42,19 +40,19 @@ namespace cyclone {
 /** One rung of the SIMD ladder. */
 struct DecoderBackend
 {
-    /** Stable identifier: "scalar", "generic", "avx2" or "avx512".
-     *  Also the value CYCLONE_WAVE_BACKEND matches against, and the
-     *  name reported through BpOsdStats. */
+    /** Stable identifier: "scalar", "avx2" or "avx512". Also the
+     *  value CYCLONE_WAVE_BACKEND matches against, and the name
+     *  reported through BpOsdStats. */
     const char* name = "";
 
-    /** Lane width auto-dispatch picks when waveLanes == 0. */
-    size_t preferredLanes = 1;
+    /** Lanes per wave (1 for the scalar rung). */
+    size_t lanes = 1;
 
     /** Whether this host's CPU can execute the rung's kernels. */
     bool (*supported)() = nullptr;
 
-    /** Kernel factory (nullptr for the scalar rung). */
-    const WaveKernelTable* (*kernels)(size_t lanes) = nullptr;
+    /** The rung's wave kernels (nullptr for the scalar rung). */
+    const WaveKernelTable* kernels = nullptr;
 };
 
 /**
@@ -70,29 +68,13 @@ const DecoderBackend* findDecoderBackend(std::string_view name);
 /** Environment variable that forces a backend ("auto" / "" = off). */
 inline constexpr const char* kWaveBackendEnv = "CYCLONE_WAVE_BACKEND";
 
-/** A dispatch decision: the rung plus the resolved lane width. */
-struct DecoderBackendChoice
-{
-    const DecoderBackend* backend = nullptr;
-    size_t lanes = 1; ///< 1 iff backend is the scalar rung.
-};
-
-/**
- * Widest lane width `backend` can serve under a BpOptions::waveLanes
- * request (0 = the backend's preferred width; requests below 4 clamp
- * up to the narrowest kernel). Returns 0 when the backend has no
- * kernel at or below the request — the dispatch loop then falls
- * through to a narrower rung.
- */
-size_t backendLaneWidth(const DecoderBackend& backend, size_t requested);
-
 /**
  * Runtime dispatch for this host, this environment and a waveLanes
  * request. Never fails: the scalar rung is the universal fallback.
  * Read once at decoder construction — changing CYCLONE_WAVE_BACKEND
  * afterwards does not migrate live decoders.
  */
-DecoderBackendChoice selectDecoderBackend(size_t requestedLanes);
+const DecoderBackend& selectDecoderBackend(size_t requestedLanes);
 
 } // namespace cyclone
 

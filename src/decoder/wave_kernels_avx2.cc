@@ -1,21 +1,19 @@
 /**
  * @file
- * AVX2 rung of the SIMD ladder: L = 4 and 8 (one ymm per variable).
- * Compiled into a table only when the build enables the x86 kernels;
- * the empty fallback keeps the factory linkable everywhere.
+ * AVX2 rung of the SIMD ladder: L = 8, one ymm per variable. Compiled
+ * only when the build enables the x86 kernels.
  */
 
 #include "decoder/wave_kernels.h"
 
 #ifdef CYCLONE_WAVE_KERNEL_AVX2
 
-#include <cmath>
 #include <cstdint>
 
 #include <immintrin.h>
 
-// Sign-bit packing via one vmovmskps on the bitcast predicate,
-// replacing the portable OR-reduction loop (packSignBits in the .inl).
+// Sign-bit packing via one vmovmskps on the bitcast predicate
+// (packSignBits in the .inl).
 #define CYCLONE_WAVE_PACK_AVX 1
 
 // The lane helpers pass/return wide generic vectors; they are
@@ -34,31 +32,9 @@
 
 namespace cyclone {
 
-const WaveKernelTable*
-waveKernelTablesAvx2(size_t lanes)
-{
-    // Full-message min-sum: at ymm widths the message array is a
-    // quarter the L = 16 size, and measured e2e throughput favors the
-    // plain store over compression's per-edge decode.
-    if (lanes == 8)
-        return laneKernelTable<8, false>();
-    if (lanes == 4)
-        return laneKernelTable<4, false>();
-    return nullptr;
-}
+const WaveKernelTable kWaveKernelsAvx2{&posteriorUpdateWave<8>,
+                                       &checkMinSumWave<8>};
 
 } // namespace cyclone
 
-#else // !CYCLONE_WAVE_KERNEL_AVX2
-
-namespace cyclone {
-
-const WaveKernelTable*
-waveKernelTablesAvx2(size_t)
-{
-    return nullptr;
-}
-
-} // namespace cyclone
-
-#endif
+#endif // CYCLONE_WAVE_KERNEL_AVX2

@@ -4,15 +4,14 @@
  * generic-vector selects (`cond ? a : b` on 16-lane comparisons) lower
  * to __mmask16 compare + masked blends under this target, which is
  * what makes the two-smallest tracking and the compressed-message
- * decode cheap at this width. Compiled into a table only when the
- * build enables the x86 AVX-512 kernels.
+ * decode cheap at this width. Compiled only when the build enables
+ * the x86 AVX-512 kernels.
  */
 
 #include "decoder/wave_kernels.h"
 
 #ifdef CYCLONE_WAVE_KERNEL_AVX512
 
-#include <cmath>
 #include <cstdint>
 
 #include <immintrin.h>
@@ -22,8 +21,7 @@
 #endif
 
 // Sign-bit packing via vptestmd against a sign-bit splat: the mask
-// lands directly in a k-register, replacing the portable OR-reduction
-// loop (packSignBits in the .inl).
+// lands directly in a k-register (packSignBits in the .inl).
 #define CYCLONE_WAVE_PACK_AVX512 1
 
 // avx512f covers the 512-bit float/int arithmetic and mask blends;
@@ -35,24 +33,9 @@
 
 namespace cyclone {
 
-const WaveKernelTable*
-waveKernelTablesAvx512(size_t lanes)
-{
-    return lanes == 16 ? laneKernelTable<16, true>() : nullptr;
-}
+const WaveKernelTable kWaveKernelsAvx512{&posteriorUpdateWave<16>,
+                                         &checkMinSumWave<16>};
 
 } // namespace cyclone
 
-#else // !CYCLONE_WAVE_KERNEL_AVX512
-
-namespace cyclone {
-
-const WaveKernelTable*
-waveKernelTablesAvx512(size_t)
-{
-    return nullptr;
-}
-
-} // namespace cyclone
-
-#endif
+#endif // CYCLONE_WAVE_KERNEL_AVX512

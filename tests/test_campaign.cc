@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -674,6 +675,40 @@ TEST(Campaign, SpecRejectsUnknownKeysWithLineNumbers)
                   std::string::npos)
             << ex.what();
     }
+}
+
+TEST(Campaign, SpecBpKeyAcceptsOnlyMinSum)
+{
+    // Min-sum is the only BP variant: any other value — including the
+    // retired "productsum" — must fail at its own line, never fall
+    // back silently to a different decoder.
+    const std::pair<const char*, const char*> bad[] = {
+        {"name = x\n[task]\ncode = surface3\nbp = productsum\n",
+         "line 4"},
+        {"name = x\n[task]\ncode = surface3\np = 1e-2\nbp = bogus\n",
+         "line 5"},
+    };
+    for (const auto& [text, line] : bad) {
+        try {
+            parseCampaignSpec(text);
+            FAIL() << "expected bp error for: " << text;
+        } catch (const std::runtime_error& ex) {
+            const std::string what = ex.what();
+            EXPECT_NE(what.find(line), std::string::npos) << what;
+            EXPECT_NE(what.find("bp"), std::string::npos) << what;
+        }
+    }
+
+    // "bp = minsum" names the default: the task identity (and so its
+    // checkpoint key) is the one a spec without the key gets.
+    const CampaignSpec named = parseCampaignSpec(
+        "name = x\n[task]\ncode = surface3\np = 1e-2\nbp = minsum\n");
+    const CampaignSpec plain = parseCampaignSpec(
+        "name = x\n[task]\ncode = surface3\np = 1e-2\n");
+    ASSERT_EQ(named.tasks.size(), 1u);
+    EXPECT_EQ(named.tasks[0].bp.variant, BpOptions::Variant::MinSum);
+    EXPECT_EQ(resolveTaskIdentities(named)[0].contentHash,
+              resolveTaskIdentities(plain)[0].contentHash);
 }
 
 TEST(Campaign, SpecParsesStreamingKeys)

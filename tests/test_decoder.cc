@@ -13,6 +13,7 @@
 #include "dem/dem_builder.h"
 #include "dem/dem_sampler.h"
 #include "qec/classical_code.h"
+#include "qec/code_catalog.h"
 #include "qec/hgp_code.h"
 #include "qec/schedule.h"
 
@@ -87,19 +88,6 @@ TEST(BpDecoder, BoundaryFlipDecoded)
     EXPECT_TRUE(bp.hardDecision().get(0));
 }
 
-TEST(BpDecoder, ProductSumVariantAlsoDecodes)
-{
-    auto dem = repetitionDem(9, 0.05);
-    BpOptions opts;
-    opts.variant = BpOptions::Variant::ProductSum;
-    BpDecoder bp(dem, opts);
-    BitVec syndrome(dem.numDetectors);
-    syndrome.set(4, true);
-    syndrome.set(5, true);
-    ASSERT_TRUE(bp.decode(syndrome));
-    EXPECT_TRUE(bp.hardDecision().get(5));
-}
-
 TEST(OsdDecoder, SolvesEverySingleMechanismSyndrome)
 {
     auto dem = surface13Dem(0.003);
@@ -132,22 +120,46 @@ TEST(OsdDecoder, SolvesEverySingleMechanismSyndrome)
 
 TEST(BpOsd, CorrectsAllSingleMechanisms)
 {
-    // Distance-3 code, 2 rounds: every single fault must be decoded
-    // to the correct observable outcome.
-    auto dem = surface13Dem(0.003);
-    BpOsdDecoder decoder(dem);
-    size_t failures = 0;
-    for (size_t v = 0; v < dem.mechanisms.size(); ++v) {
-        BitVec syndrome(dem.numDetectors);
-        for (uint32_t d : dem.mechanisms[v].detectors)
-            syndrome.flip(d);
-        const uint64_t predicted = decoder.decode(syndrome);
-        if (predicted != dem.mechanisms[v].observables)
-            ++failures;
+    // Every single fault must be decoded to its own observable
+    // outcome: on the distance-3 surface code and on the paper's
+    // [[72,12,6]] BB code (2 rounds each), whose degenerate qLDPC
+    // detector graph is where min-sum posteriors would steer OSD to a
+    // wrong coset if they were going to — a third of bb72's single
+    // faults do not converge in BP and reach OSD. One shot per
+    // mechanism, decoded as one batch (the wave kernel where the host
+    // has one).
+    const CssCode bb72 = catalog::bb72();
+    MemoryCircuitOptions opts;
+    opts.rounds = 2;
+    opts.noise = NoiseModel::uniform(1e-3);
+    const struct
+    {
+        const char* name;
+        DetectorErrorModel dem;
+    } models[] = {
+        {"surface13", surface13Dem(0.003)},
+        {"bb72", buildDetectorErrorModel(buildZMemoryCircuit(
+                     bb72, makeXThenZSchedule(bb72), opts))},
+    };
+    for (const auto& [name, dem] : models) {
+        ShotBatch batch;
+        batch.reset(dem.numDetectors, dem.mechanisms.size());
+        for (size_t v = 0; v < dem.mechanisms.size(); ++v) {
+            for (uint32_t d : dem.mechanisms[v].detectors)
+                batch.flipDetector(v, d);
+        }
+        BpOsdDecoder decoder(dem);
+        std::vector<uint64_t> predicted;
+        decoder.decodeBatch(batch, predicted);
+        size_t failures = 0;
+        for (size_t v = 0; v < dem.mechanisms.size(); ++v) {
+            if (predicted[v] != dem.mechanisms[v].observables)
+                ++failures;
+        }
+        EXPECT_EQ(failures, 0u)
+            << name << ": " << failures << " of "
+            << dem.mechanisms.size() << " single faults misdecoded";
     }
-    EXPECT_EQ(failures, 0u)
-        << failures << " of " << dem.mechanisms.size()
-        << " single faults misdecoded";
 }
 
 TEST(BpOsd, AgreesWithExhaustiveOnSmallModel)

@@ -11,12 +11,12 @@
  * columns, zero-weight detectors) and random shot sets (error-pattern
  * shots plus adversarial raw syndromes that may leave the DEM column
  * span), then asserts exact prediction and statistics equality across
- * all four decode paths for both BP variants — including staged groups
- * of random size through the wave decoder's refilling lanes.
+ * every decode path — including staged groups of random size through
+ * the wave decoder's refilling lanes on every SIMD rung.
  *
  * CI runs a fixed seed set; set CYCLONE_FUZZ_ITERS to a larger count
- * for deeper local runs (each iteration is one random DEM + shot set
- * per BP variant).
+ * for deeper local runs (each iteration is two random DEM + shot
+ * sets).
  */
 
 #include <cstdlib>
@@ -158,22 +158,18 @@ TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
 {
     const size_t iters = fuzzIterations();
     for (size_t iter = 0; iter < iters; ++iter) {
-        for (const auto variant : {BpOptions::Variant::MinSum,
-                                   BpOptions::Variant::ProductSum}) {
-            Rng rng(0xf0220000ULL + iter * 2 +
-                    (variant == BpOptions::Variant::MinSum ? 0 : 1));
+        for (const uint64_t draw : {0, 1}) {
+            Rng rng(0xf0220000ULL + iter * 2 + draw);
             const DetectorErrorModel dem = randomDem(rng);
             const size_t shots = 1 + rng.below(180);
             const ShotBatch batch = randomShots(dem, shots, rng);
 
             BpOptions bp;
-            bp.variant = variant;
             // Starve BP often so the OSD stage is exercised hard.
             bp.maxIterations = 1 + rng.below(12);
 
             const std::string label = "iter=" + std::to_string(iter) +
-                " variant=" +
-                (variant == BpOptions::Variant::MinSum ? "ms" : "ps") +
+                " draw=" + std::to_string(draw) +
                 " shots=" + std::to_string(shots) +
                 " det=" + std::to_string(dem.numDetectors) +
                 " mechs=" + std::to_string(dem.mechanisms.size());
@@ -191,18 +187,15 @@ TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
             {
                 const char* name;
                 size_t waveLanes;
-                bool osdBatch;
             };
             const PathSpec paths[] = {
-                {"batch", 1, false},
-                {"wave", 0, false},
-                {"wave+batched-osd", 0, true},
+                {"batch", 1},
+                {"wave", 0},
             };
             size_t batchMemoHits = 0;
             for (const PathSpec& path : paths) {
                 BpOptions pathBp = bp;
                 pathBp.waveLanes = path.waveLanes;
-                pathBp.osdBatch = path.osdBatch;
                 BpOsdDecoder decoder(dem, pathBp);
                 std::vector<uint64_t> got;
                 decoder.decodeBatch(batch, got);
@@ -229,10 +222,7 @@ TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
                 if (b->kernels == nullptr || !b->supported())
                     continue;
                 EnvGuard guard(kWaveBackendEnv, b->name);
-                BpOptions pathBp = bp;
-                pathBp.waveLanes = 0;
-                pathBp.osdBatch = true;
-                BpOsdDecoder decoder(dem, pathBp);
+                BpOsdDecoder decoder(dem, bp);
                 ASSERT_STREQ(decoder.backendName(), b->name) << label;
                 std::vector<uint64_t> got;
                 decoder.decodeBatch(batch, got);
@@ -251,10 +241,7 @@ TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
             // into one group must replay the exact outcome (and
             // per-shot statistics) onto both copies.
             {
-                BpOptions pathBp = bp;
-                pathBp.waveLanes = 0;
-                pathBp.osdBatch = true;
-                BpOsdDecoder staged(dem, pathBp);
+                BpOsdDecoder staged(dem, bp);
                 staged.beginStaged();
                 staged.stageBatch(batch);
                 staged.stageBatch(batch);
@@ -309,10 +296,7 @@ TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
                 if (b->kernels == nullptr || !b->supported())
                     continue;
                 EnvGuard guard(kWaveBackendEnv, b->name);
-                BpOptions pathBp = bp;
-                pathBp.waveLanes = 0;
-                pathBp.osdBatch = true;
-                BpOsdDecoder staged(dem, pathBp);
+                BpOsdDecoder staged(dem, bp);
                 staged.beginStaged();
                 for (const ShotBatch& part : parts)
                     staged.stageBatch(part);

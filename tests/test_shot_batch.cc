@@ -181,52 +181,41 @@ scalarPredictions(const DetectorErrorModel& dem, const DemShots& shots,
     return out;
 }
 
-TEST(DecodeBatch, MatchesScalarForBothBpVariants)
+TEST(DecodeBatch, MatchesScalarAtRaggedShotCounts)
 {
     const auto dem = surface13Dem(0.008);
-    for (const auto variant : {BpOptions::Variant::MinSum,
-                               BpOptions::Variant::ProductSum}) {
-        BpOptions bp;
-        bp.variant = variant;
-        for (size_t shots : {1u, 64u, 100u, 200u}) {
-            Rng scalar_rng(99);
-            Rng batch_rng(99);
-            DemShots scalar_shots;
-            sampleDemInto(dem, shots, scalar_rng, scalar_shots);
-            ShotBatch batch;
-            sampleDemBatch(dem, shots, batch_rng, batch);
+    const BpOptions bp;
+    for (size_t shots : {1u, 64u, 100u, 200u}) {
+        Rng scalar_rng(99);
+        Rng batch_rng(99);
+        DemShots scalar_shots;
+        sampleDemInto(dem, shots, scalar_rng, scalar_shots);
+        ShotBatch batch;
+        sampleDemBatch(dem, shots, batch_rng, batch);
 
-            BpOsdStats scalar_stats;
-            const std::vector<uint64_t> expected = scalarPredictions(
-                dem, scalar_shots, bp, &scalar_stats);
+        BpOsdStats scalar_stats;
+        const std::vector<uint64_t> expected = scalarPredictions(
+            dem, scalar_shots, bp, &scalar_stats);
 
-            BpOsdDecoder decoder(dem, bp);
-            std::vector<uint64_t> got;
-            decoder.decodeBatch(batch, got);
-            ASSERT_EQ(got.size(), shots);
-            for (size_t s = 0; s < shots; ++s)
-                ASSERT_EQ(got[s], expected[s])
-                    << "variant="
-                    << (variant == BpOptions::Variant::MinSum ? "ms"
-                                                              : "ps")
-                    << " shots=" << shots << " s=" << s;
+        BpOsdDecoder decoder(dem, bp);
+        std::vector<uint64_t> got;
+        decoder.decodeBatch(batch, got);
+        ASSERT_EQ(got.size(), shots);
+        for (size_t s = 0; s < shots; ++s)
+            ASSERT_EQ(got[s], expected[s])
+                << "shots=" << shots << " s=" << s;
 
-            // Memo replays re-apply outcome stats, so every counter
-            // except memoHits matches the per-shot path exactly.
-            const BpOsdStats& batch_stats = decoder.stats();
-            EXPECT_EQ(batch_stats.decodes, scalar_stats.decodes);
-            EXPECT_EQ(batch_stats.bpConverged,
-                      scalar_stats.bpConverged);
-            EXPECT_EQ(batch_stats.osdInvocations,
-                      scalar_stats.osdInvocations);
-            EXPECT_EQ(batch_stats.osdFailures,
-                      scalar_stats.osdFailures);
-            EXPECT_EQ(batch_stats.trivialShots,
-                      scalar_stats.trivialShots);
-            EXPECT_EQ(batch_stats.bpIterations,
-                      scalar_stats.bpIterations);
-            EXPECT_EQ(scalar_stats.memoHits, 0u);
-        }
+        // Memo replays re-apply outcome stats, so every counter
+        // except memoHits matches the per-shot path exactly.
+        const BpOsdStats& batch_stats = decoder.stats();
+        EXPECT_EQ(batch_stats.decodes, scalar_stats.decodes);
+        EXPECT_EQ(batch_stats.bpConverged, scalar_stats.bpConverged);
+        EXPECT_EQ(batch_stats.osdInvocations,
+                  scalar_stats.osdInvocations);
+        EXPECT_EQ(batch_stats.osdFailures, scalar_stats.osdFailures);
+        EXPECT_EQ(batch_stats.trivialShots, scalar_stats.trivialShots);
+        EXPECT_EQ(batch_stats.bpIterations, scalar_stats.bpIterations);
+        EXPECT_EQ(scalar_stats.memoHits, 0u);
     }
 }
 
@@ -303,24 +292,27 @@ TEST(DecodeBatch, MemoHitsReplayOsdStatsExactly)
     ASSERT_GT(want.osdInvocations, 0u);
     ASSERT_GT(want.osdFailures, 0u);
 
-    for (const bool osdBatchEnabled : {false, true}) {
+    // Every batch path: the scalar batch core (waveLanes = 1) and
+    // the wave kernel with its batched OSD stage where the host has
+    // one.
+    for (const size_t lanes : {size_t{1}, size_t{0}}) {
         BpOptions batchBp = bp;
-        batchBp.osdBatch = osdBatchEnabled;
+        batchBp.waveLanes = lanes;
         BpOsdDecoder decoder(dem, batchBp);
         std::vector<uint64_t> got;
         decoder.decodeBatch(batch, got);
         for (size_t s = 0; s < shots; ++s)
             ASSERT_EQ(got[s], expected[s])
-                << "osdBatch=" << osdBatchEnabled << " s=" << s;
+                << "waveLanes=" << lanes << " s=" << s;
 
         const BpOsdStats& stats = decoder.stats();
-        ASSERT_GT(stats.memoHits, 0u) << "osdBatch=" << osdBatchEnabled;
+        ASSERT_GT(stats.memoHits, 0u) << "waveLanes=" << lanes;
         EXPECT_EQ(stats.decodes, want.decodes);
         EXPECT_EQ(stats.bpConverged, want.bpConverged);
         EXPECT_EQ(stats.osdInvocations, want.osdInvocations)
-            << "osdBatch=" << osdBatchEnabled;
+            << "waveLanes=" << lanes;
         EXPECT_EQ(stats.osdFailures, want.osdFailures)
-            << "osdBatch=" << osdBatchEnabled;
+            << "waveLanes=" << lanes;
         EXPECT_EQ(stats.trivialShots, want.trivialShots);
         EXPECT_EQ(stats.bpIterations, want.bpIterations);
     }
@@ -378,7 +370,7 @@ TEST(DecodeBatch, DefaultImplementationCoversSimpleDecoders)
         ASSERT_EQ(got[s], scalar.decode(scalar_shots.syndromes[s]));
 }
 
-TEST(DecodeBatch, RunChunkMatchesHandRolledScalarChunk)
+TEST(DecodeBatch, RunChunkGroupMatchesHandRolledScalarChunk)
 {
     // The campaign's chunk executor end-to-end: packed sample +
     // batched decode must reproduce the scalar pipeline's failure
@@ -401,10 +393,9 @@ TEST(DecodeBatch, RunChunkMatchesHandRolledScalarChunk)
     }
 
     BpOsdDecoder decoder(dem);
-    ShotBatch batch;
-    std::vector<uint64_t> predicted;
+    std::vector<ShotBatch> batches;
     const ChunkOutcome outcome =
-        runChunk(dem, plan, decoder, batch, predicted);
+        runChunkGroup(dem, &plan, 1, decoder, batches);
     EXPECT_EQ(outcome.shots, plan.shots);
     EXPECT_EQ(outcome.failures, scalar_failures);
     EXPECT_EQ(decoder.stats().decodes, plan.shots);

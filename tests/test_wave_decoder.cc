@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "campaign/adaptive_sampler.h"
 #include "circuit/memory_circuit.h"
@@ -190,75 +191,60 @@ TEST(WaveDecoder, ResolvesLaneWidthsPerBackend)
 
     // A request of 1 always means "wave disabled", on every host.
     EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(1), 1u);
-    EXPECT_STREQ(selectDecoderBackend(1).backend->name, "scalar");
+    EXPECT_STREQ(selectDecoderBackend(1).name, "scalar");
 
     // The registry ends with the always-available scalar backend, and
-    // every wider rung precedes it.
+    // every wider rung precedes it, widest first.
     const auto& registry = decoderBackendRegistry();
     ASSERT_FALSE(registry.empty());
     EXPECT_STREQ(registry.back()->name, "scalar");
     EXPECT_EQ(registry.back()->kernels, nullptr);
+    EXPECT_EQ(registry.back()->lanes, 1u);
     EXPECT_TRUE(registry.back()->supported());
+    for (size_t i = 0; i + 1 < registry.size(); ++i) {
+        EXPECT_NE(registry[i]->kernels, nullptr) << registry[i]->name;
+        EXPECT_GT(registry[i]->lanes, registry[i + 1]->lanes);
+    }
 
     // resolveLaneWidth returns the widest rung at or below the
-    // request that some supported backend serves; requests below the
-    // narrowest kernel clamp up to it.
+    // request that this host supports; narrower requests than every
+    // rung get the scalar core.
     for (size_t req : {size_t{0}, size_t{2}, size_t{4}, size_t{7},
                        size_t{8}, size_t{15}, size_t{16}, size_t{64}}) {
-        const DecoderBackendChoice choice = selectDecoderBackend(req);
+        const DecoderBackend& choice = selectDecoderBackend(req);
         EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(req), choice.lanes);
-        if (choice.lanes > 1) {
-            EXPECT_EQ(choice.lanes,
-                      backendLaneWidth(*choice.backend, req));
-            if (req >= 4)
-                EXPECT_LE(choice.lanes, req);
-        }
+        if (req != 0)
+            EXPECT_LE(choice.lanes, req);
     }
-    EXPECT_LE(BpWaveDecoder::resolveLaneWidth(4),
-              BpWaveDecoder::resolveLaneWidth(8));
+    EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(4), 1u);
     EXPECT_LE(BpWaveDecoder::resolveLaneWidth(8),
               BpWaveDecoder::resolveLaneWidth(16));
-    // An explicit oversize request rounds down to the widest width
-    // any rung serves; auto (0) takes the dispatched rung's preferred
-    // width, which may be narrower (the generic rung prefers 8 but
-    // serves 16).
-    EXPECT_GE(BpWaveDecoder::resolveLaneWidth(64),
+    EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(64),
               BpWaveDecoder::resolveLaneWidth(0));
 
     const DecoderBackend* avx512 = findDecoderBackend("avx512");
     const DecoderBackend* avx2 = findDecoderBackend("avx2");
-    const DecoderBackend* generic = findDecoderBackend("generic");
-    if (generic != nullptr) {
-        // Non-x86 build: the generic rung serves every width.
-        EXPECT_EQ(backendLaneWidth(*generic, 0), 8u);
-        EXPECT_EQ(backendLaneWidth(*generic, 16), 16u);
-        EXPECT_EQ(backendLaneWidth(*generic, 4), 4u);
-    }
+    if (avx512 != nullptr)
+        EXPECT_EQ(avx512->lanes, 16u);
+    if (avx2 != nullptr)
+        EXPECT_EQ(avx2->lanes, 8u);
     if (avx2 != nullptr && avx2->supported()) {
-        // The AVX2 rung serves L=4 and L=8 but never L=16.
-        EXPECT_EQ(backendLaneWidth(*avx2, 4), 4u);
-        EXPECT_EQ(backendLaneWidth(*avx2, 0), 8u);
-        EXPECT_EQ(backendLaneWidth(*avx2, 16), 8u);
         EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(8), 8u);
-        EXPECT_STREQ(selectDecoderBackend(8).backend->name, "avx2");
+        EXPECT_STREQ(selectDecoderBackend(8).name, "avx2");
     }
     if (avx512 != nullptr && avx512->supported()) {
-        // The AVX-512 rung serves exactly L=16 (one zmm per variable);
-        // narrower requests fall through to the AVX2 rung instead of
-        // running 16 generic-vector lanes.
-        EXPECT_EQ(backendLaneWidth(*avx512, 16), 16u);
-        EXPECT_EQ(backendLaneWidth(*avx512, 8), 0u);
         EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(0), 16u);
         EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(16), 16u);
-        EXPECT_STREQ(selectDecoderBackend(16).backend->name, "avx512");
+        EXPECT_STREQ(selectDecoderBackend(16).name, "avx512");
     } else if (avx2 != nullptr && avx2->supported()) {
         // An AVX2-only host resolves a 16-lane request to 8.
         EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(16), 8u);
-    } else if (avx2 != nullptr) {
-        // Pre-AVX2 x86 host: only the scalar rung runs.
+    } else {
+        // Pre-AVX2 host, or a build without the x86 kernels: only the
+        // scalar rung runs.
         EXPECT_FALSE(BpWaveDecoder::runtimeSupported());
         EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(0), 1u);
-        EXPECT_STREQ(selectDecoderBackend(0).backend->name, "scalar");
+        EXPECT_STREQ(selectDecoderBackend(0).name, "scalar");
     }
 }
 
@@ -268,30 +254,21 @@ TEST(WaveDecoder, EnvOverrideForcesDispatch)
     // CYCLONE_WAVE_BACKEND, and bogus or impossible overrides fall
     // back to auto dispatch instead of stranding the decode.
     EnvGuard autoGuard(kWaveBackendEnv, nullptr);
-    const DecoderBackendChoice autoChoice = selectDecoderBackend(0);
+    const DecoderBackend& autoChoice = selectDecoderBackend(0);
 
     for (const DecoderBackend* b : decoderBackendRegistry()) {
         if (!b->supported())
             continue;
         EnvGuard guard(kWaveBackendEnv, b->name);
-        const DecoderBackendChoice forced = selectDecoderBackend(0);
-        EXPECT_STREQ(forced.backend->name, b->name) << b->name;
-        if (b->kernels == nullptr)
-            EXPECT_EQ(forced.lanes, 1u);
-        else
-            EXPECT_EQ(forced.lanes, backendLaneWidth(*b, 0));
+        EXPECT_EQ(&selectDecoderBackend(0), b) << b->name;
     }
     {
         EnvGuard guard(kWaveBackendEnv, "no-such-backend");
-        const DecoderBackendChoice choice = selectDecoderBackend(0);
-        EXPECT_STREQ(choice.backend->name, autoChoice.backend->name);
-        EXPECT_EQ(choice.lanes, autoChoice.lanes);
+        EXPECT_EQ(&selectDecoderBackend(0), &autoChoice);
     }
     {
         EnvGuard guard(kWaveBackendEnv, "auto");
-        const DecoderBackendChoice choice = selectDecoderBackend(0);
-        EXPECT_STREQ(choice.backend->name, autoChoice.backend->name);
-        EXPECT_EQ(choice.lanes, autoChoice.lanes);
+        EXPECT_EQ(&selectDecoderBackend(0), &autoChoice);
     }
     const DecoderBackend* avx512 = findDecoderBackend("avx512");
     const DecoderBackend* avx2 = findDecoderBackend("avx2");
@@ -299,9 +276,7 @@ TEST(WaveDecoder, EnvOverrideForcesDispatch)
         // Forcing avx512 with a width it cannot serve falls back to
         // auto dispatch (which lands on the avx2 rung for L=8).
         EnvGuard guard(kWaveBackendEnv, "avx512");
-        const DecoderBackendChoice choice = selectDecoderBackend(8);
-        EXPECT_STREQ(choice.backend->name, "avx2");
-        EXPECT_EQ(choice.lanes, 8u);
+        EXPECT_STREQ(selectDecoderBackend(8).name, "avx2");
     }
 }
 
@@ -329,47 +304,21 @@ TEST(WaveDecoder, ForcedScalarDisablesWavePath)
 TEST(WaveDecoder, BackendMatrixBitExactAgainstScalar)
 {
     SKIP_WITHOUT_WAVE_SUPPORT();
-    // Every supported kernel backend, at every lane width it serves,
-    // must reproduce the scalar decoder bit-for-bit under both BP
-    // variants. On an AVX-512 host this covers avx2 L=4/8 and avx512
+    // Every supported kernel backend must reproduce the scalar decoder
+    // bit-for-bit. On an AVX-512 host this covers avx2 L=8 and avx512
     // L=16 in one run; narrower hosts cover what they can.
     const auto dem = surface13Dem(0.01);
-    const auto syndromes = sampledSyndromes(dem, 48, 0xbead);
-    for (const DecoderBackend* b : decoderBackendRegistry()) {
-        if (b->kernels == nullptr || !b->supported())
-            continue;
-        for (size_t lanes : {size_t{4}, size_t{8}, size_t{16}}) {
-            if (b->kernels(lanes) == nullptr)
+    for (const auto& [shots, seed] :
+         {std::pair<size_t, uint64_t>{48, 0xbead}, {70, 0xabc}}) {
+        const auto syndromes = sampledSyndromes(dem, shots, seed);
+        for (const DecoderBackend* b : decoderBackendRegistry()) {
+            if (b->kernels == nullptr || !b->supported())
                 continue;
-            for (const auto variant : {BpOptions::Variant::MinSum,
-                                       BpOptions::Variant::ProductSum}) {
-                BpOptions options;
-                options.variant = variant;
-                options.waveLanes = lanes;
-                const std::string label = std::string(b->name) + "-L" +
-                    std::to_string(lanes);
-                expectWaveMatchesScalar(dem, options, syndromes,
-                                        label.c_str(), b);
-            }
-        }
-    }
-}
-
-TEST(WaveDecoder, BitExactAgainstScalarAcrossLaneWidthsAndVariants)
-{
-    SKIP_WITHOUT_WAVE_SUPPORT();
-    const auto dem = surface13Dem(0.01);
-    const auto syndromes = sampledSyndromes(dem, 70, 0xabc);
-    for (const auto variant : {BpOptions::Variant::MinSum,
-                               BpOptions::Variant::ProductSum}) {
-        for (size_t lanes : {4u, 8u, 16u}) {
-            BpOptions options;
-            options.variant = variant;
-            options.waveLanes = lanes;
-            expectWaveMatchesScalar(
-                dem, options, syndromes,
-                variant == BpOptions::Variant::MinSum ? "min-sum"
-                                                      : "product-sum");
+            const std::string label = std::string(b->name) + "-L" +
+                std::to_string(b->lanes) + " seed=" +
+                std::to_string(seed);
+            expectWaveMatchesScalar(dem, BpOptions{}, syndromes,
+                                    label.c_str(), b);
         }
     }
 }
@@ -447,7 +396,7 @@ TEST(WaveDecoder, RefillMatchesScalar)
     // converging and by the iteration cap (raw random syndromes never
     // converge), a list may be shorter than, equal to or many times
     // the lane width, and every syndrome must still match the scalar
-    // decoder exactly — on every rung and width this host serves.
+    // decoder exactly — on every rung this host serves.
     const auto dem = surface13Dem(0.03);
     std::vector<BitVec> pool = sampledSyndromes(dem, 96, 0x4ef11);
     Rng rng(0x4a11);
@@ -463,69 +412,57 @@ TEST(WaveDecoder, RefillMatchesScalar)
     for (const DecoderBackend* b : decoderBackendRegistry()) {
         if (b->kernels == nullptr || !b->supported())
             continue;
-        for (size_t lanes : {size_t{4}, size_t{8}, size_t{16}}) {
-            if (b->kernels(lanes) == nullptr)
-                continue;
-            for (const auto variant : {BpOptions::Variant::MinSum,
-                                       BpOptions::Variant::ProductSum}) {
-                for (size_t max_iters : {0u, 1u, 3u, 32u}) {
-                    BpOptions options;
-                    options.variant = variant;
-                    options.waveLanes = lanes;
-                    options.maxIterations = max_iters;
-                    BpDecoder scalar(graph, options);
-                    BpWaveDecoder wave(graph, options, *b);
-                    const size_t L = wave.laneWidth();
-                    for (size_t n : {size_t{1}, L - 1, L, L + 1,
-                                     5 * L + 3}) {
-                        const std::string label = std::string(b->name) +
-                            "-L" + std::to_string(L) +
-                            (variant == BpOptions::Variant::MinSum
-                                 ? " ms" : " ps") +
-                            " iters=" + std::to_string(max_iters) +
-                            " n=" + std::to_string(n);
-                        std::vector<const BitVec*> list(n);
-                        for (size_t i = 0; i < n; ++i)
-                            list[i] = &pool[i];
-                        std::vector<int> seen(n, 0);
-                        size_t converged = 0;
-                        size_t capped = 0;
-                        size_t useful = 0;
-                        const size_t steps = wave.decodeAll(
-                            list.data(), n, [&](size_t i, size_t lane) {
-                                ASSERT_LT(i, n) << label;
-                                ASSERT_LT(lane, L) << label;
-                                ++seen[i];
-                                const ScalarRef ref =
-                                    scalarReference(scalar, pool[i]);
-                                ASSERT_EQ(wave.laneConverged(lane),
-                                          ref.converged)
-                                    << label << " i=" << i;
-                                ASSERT_EQ(wave.laneIterations(lane),
-                                          ref.iterations)
-                                    << label << " i=" << i;
-                                wave.lanePosterior(lane, lane_posterior);
-                                ASSERT_EQ(lane_posterior, ref.posterior)
-                                    << label << " i=" << i;
-                                wave.laneHardDecision(lane, lane_hard);
-                                ASSERT_EQ(lane_hard, ref.hard)
-                                    << label << " i=" << i;
-                                converged += ref.converged &&
-                                    ref.iterations > 0;
-                                capped += ref.iterations == max_iters;
-                                useful += ref.iterations;
-                            });
-                        for (size_t i = 0; i < n; ++i)
-                            ASSERT_EQ(seen[i], 1) << label << " i=" << i;
-                        // Each step pays L lane-iterations, and no
-                        // syndrome ran longer than the whole decode.
-                        EXPECT_LE(useful, steps * L) << label;
-                        EXPECT_LE(steps, n * max_iters) << label;
-                        if (n == 5 * L + 3 && max_iters == 32) {
-                            EXPECT_GT(converged, 0u) << label;
-                            EXPECT_GT(capped, 0u) << label;
-                        }
-                    }
+        for (size_t max_iters : {0u, 1u, 3u, 32u}) {
+            BpOptions options;
+            options.maxIterations = max_iters;
+            BpDecoder scalar(graph, options);
+            BpWaveDecoder wave(graph, options, *b);
+            const size_t L = wave.laneWidth();
+            for (size_t n : {size_t{1}, L - 1, L, L + 1, 5 * L + 3}) {
+                const std::string label = std::string(b->name) +
+                    "-L" + std::to_string(L) +
+                    " iters=" + std::to_string(max_iters) +
+                    " n=" + std::to_string(n);
+                std::vector<const BitVec*> list(n);
+                for (size_t i = 0; i < n; ++i)
+                    list[i] = &pool[i];
+                std::vector<int> seen(n, 0);
+                size_t converged = 0;
+                size_t capped = 0;
+                size_t useful = 0;
+                const size_t steps = wave.decodeAll(
+                    list.data(), n, [&](size_t i, size_t lane) {
+                        ASSERT_LT(i, n) << label;
+                        ASSERT_LT(lane, L) << label;
+                        ++seen[i];
+                        const ScalarRef ref =
+                            scalarReference(scalar, pool[i]);
+                        ASSERT_EQ(wave.laneConverged(lane),
+                                  ref.converged)
+                            << label << " i=" << i;
+                        ASSERT_EQ(wave.laneIterations(lane),
+                                  ref.iterations)
+                            << label << " i=" << i;
+                        wave.lanePosterior(lane, lane_posterior);
+                        ASSERT_EQ(lane_posterior, ref.posterior)
+                            << label << " i=" << i;
+                        wave.laneHardDecision(lane, lane_hard);
+                        ASSERT_EQ(lane_hard, ref.hard)
+                            << label << " i=" << i;
+                        converged += ref.converged &&
+                            ref.iterations > 0;
+                        capped += ref.iterations == max_iters;
+                        useful += ref.iterations;
+                    });
+                for (size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(seen[i], 1) << label << " i=" << i;
+                // Each step pays L lane-iterations, and no
+                // syndrome ran longer than the whole decode.
+                EXPECT_LE(useful, steps * L) << label;
+                EXPECT_LE(steps, n * max_iters) << label;
+                if (n == 5 * L + 3 && max_iters == 32) {
+                    EXPECT_GT(converged, 0u) << label;
+                    EXPECT_GT(capped, 0u) << label;
                 }
             }
         }
@@ -549,11 +486,11 @@ scalarPredictions(const DetectorErrorModel& dem, const DemShots& shots,
 
 TEST(WaveDecoder, DecodeBatchBitIdenticalAcrossLaneWidths)
 {
-    SKIP_WITHOUT_WAVE_SUPPORT();
     // The full batched pipeline (fast path + memo + wave kernel +
-    // OSD fallback) must produce identical predictions AND identical
-    // aggregate statistics at every lane width, including the
-    // wave-disabled width 1.
+    // batched OSD) must produce identical predictions AND identical
+    // aggregate statistics at every lane-width request, including the
+    // wave-disabled width 1 and requests that resolve to the scalar
+    // core on this host.
     const auto dem = surface13Dem(0.008);
     const size_t shots = 180;
     Rng scalar_rng(41);
@@ -563,54 +500,50 @@ TEST(WaveDecoder, DecodeBatchBitIdenticalAcrossLaneWidths)
     ShotBatch batch;
     sampleDemBatch(dem, shots, batch_rng, batch);
 
-    for (const auto variant : {BpOptions::Variant::MinSum,
-                               BpOptions::Variant::ProductSum}) {
-        BpOptions bp;
-        bp.variant = variant;
-        BpOsdStats scalar_stats;
-        const std::vector<uint64_t> expected =
-            scalarPredictions(dem, scalar_shots, bp, &scalar_stats);
-        EXPECT_EQ(scalar_stats.waveGroups, 0u);
-        EXPECT_DOUBLE_EQ(scalar_stats.waveLaneOccupancy(), 0.0);
+    BpOptions bp;
+    BpOsdStats scalar_stats;
+    const std::vector<uint64_t> expected =
+        scalarPredictions(dem, scalar_shots, bp, &scalar_stats);
+    EXPECT_EQ(scalar_stats.waveGroups, 0u);
+    EXPECT_DOUBLE_EQ(scalar_stats.waveLaneOccupancy(), 0.0);
 
-        for (size_t lanes : {1u, 4u, 8u, 16u}) {
-            bp.waveLanes = lanes;
-            BpOsdDecoder decoder(dem, bp);
-            // Dispatch resolves the request per host (an AVX2-only
-            // host resolves 16 to 8; this must track it exactly).
-            EXPECT_EQ(decoder.waveLaneWidth(),
-                      BpWaveDecoder::resolveLaneWidth(lanes));
-            EXPECT_STREQ(decoder.backendName(),
-                         selectDecoderBackend(lanes).backend->name);
-            std::vector<uint64_t> got;
-            decoder.decodeBatch(batch, got);
-            ASSERT_EQ(got.size(), shots);
-            for (size_t s = 0; s < shots; ++s)
-                ASSERT_EQ(got[s], expected[s])
-                    << "lanes=" << lanes << " s=" << s;
+    for (size_t lanes : {0u, 1u, 4u, 8u, 16u}) {
+        bp.waveLanes = lanes;
+        BpOsdDecoder decoder(dem, bp);
+        // Dispatch resolves the request per host (an AVX2-only host
+        // resolves 16 to 8; this must track it exactly).
+        const size_t width = decoder.waveLaneWidth();
+        EXPECT_EQ(width, BpWaveDecoder::resolveLaneWidth(lanes));
+        EXPECT_STREQ(decoder.backendName(),
+                     selectDecoderBackend(lanes).name);
+        std::vector<uint64_t> got;
+        decoder.decodeBatch(batch, got);
+        ASSERT_EQ(got.size(), shots);
+        for (size_t s = 0; s < shots; ++s)
+            ASSERT_EQ(got[s], expected[s])
+                << "lanes=" << lanes << " s=" << s;
 
-            const BpOsdStats& st = decoder.stats();
-            EXPECT_EQ(st.decodes, scalar_stats.decodes);
-            EXPECT_EQ(st.bpConverged, scalar_stats.bpConverged);
-            EXPECT_EQ(st.osdInvocations, scalar_stats.osdInvocations);
-            EXPECT_EQ(st.osdFailures, scalar_stats.osdFailures);
-            EXPECT_EQ(st.trivialShots, scalar_stats.trivialShots);
-            EXPECT_EQ(st.bpIterations, scalar_stats.bpIterations);
+        const BpOsdStats& st = decoder.stats();
+        EXPECT_EQ(st.decodes, scalar_stats.decodes);
+        EXPECT_EQ(st.bpConverged, scalar_stats.bpConverged);
+        EXPECT_EQ(st.osdInvocations, scalar_stats.osdInvocations);
+        EXPECT_EQ(st.osdFailures, scalar_stats.osdFailures);
+        EXPECT_EQ(st.trivialShots, scalar_stats.trivialShots);
+        EXPECT_EQ(st.bpIterations, scalar_stats.bpIterations);
 
-            // Lane accounting: every distinct non-trivial syndrome
-            // occupies exactly one filled lane slot.
-            const size_t distinct =
-                st.decodes - st.trivialShots - st.memoHits;
-            if (lanes == 1) {
-                EXPECT_EQ(st.waveGroups, 0u);
-                EXPECT_EQ(st.waveLanesFilled, 0u);
-            } else {
-                EXPECT_EQ(st.waveLanesFilled, distinct);
-                EXPECT_EQ(st.waveLaneSlots, st.waveGroups * lanes);
-                EXPECT_GE(st.waveLaneSlots, st.waveLanesFilled);
-                EXPECT_GT(st.waveLaneOccupancy(), 0.0);
-                EXPECT_LE(st.waveLaneOccupancy(), 1.0);
-            }
+        // Lane accounting: every distinct non-trivial syndrome
+        // occupies exactly one filled lane slot.
+        const size_t distinct =
+            st.decodes - st.trivialShots - st.memoHits;
+        if (width == 1) {
+            EXPECT_EQ(st.waveGroups, 0u);
+            EXPECT_EQ(st.waveLanesFilled, 0u);
+        } else {
+            EXPECT_EQ(st.waveLanesFilled, distinct);
+            EXPECT_EQ(st.waveLaneSlots, st.waveGroups * width);
+            EXPECT_GE(st.waveLaneSlots, st.waveLanesFilled);
+            EXPECT_GT(st.waveLaneOccupancy(), 0.0);
+            EXPECT_LE(st.waveLaneOccupancy(), 1.0);
         }
     }
 }
@@ -666,7 +599,7 @@ TEST(WaveDecoder, MemoInterplayReplaysWaveOutcomes)
         dem, scalar_shots, BpOptions{}, &scalar_stats);
 
     BpOptions bp;
-    bp.waveLanes = 4;
+    bp.waveLanes = 8;
     BpOsdDecoder decoder(dem, bp);
     std::vector<uint64_t> got;
     decoder.decodeBatch(batch, got);
@@ -770,7 +703,7 @@ TEST(WaveDecoder, StagedPoolBitIdenticalToPerBatchDecoding)
 
 TEST(WaveDecoder, RunChunkGroupMatchesPerChunkOutcomes)
 {
-    // The campaign's staged group job must count exactly what running
+    // The campaign's staged group job must count exactly what decoding
     // each chunk alone counts, and reading chunks through the group
     // must leave the sampler's totals unchanged.
     const auto dem = surface13Dem(0.015);
@@ -784,18 +717,27 @@ TEST(WaveDecoder, RunChunkGroupMatchesPerChunkOutcomes)
         plans[k].seed = chunkSeed(0xfeed, k);
     }
 
-    size_t refShots = 0;
-    size_t refFailures = 0;
+    // Reference: each chunk sampled from its seed and decoded as its
+    // own batch.
+    std::vector<ChunkOutcome> ref(plans.size());
     {
         BpOsdDecoder decoder(dem, bp);
         ShotBatch batch;
         std::vector<uint64_t> predicted;
-        for (const ChunkPlan& plan : plans) {
-            const ChunkOutcome o =
-                runChunk(dem, plan, decoder, batch, predicted);
-            refShots += o.shots;
-            refFailures += o.failures;
+        for (size_t k = 0; k < plans.size(); ++k) {
+            Rng rng(plans[k].seed);
+            sampleDemBatch(dem, plans[k].shots, rng, batch);
+            decoder.decodeBatch(batch, predicted);
+            ref[k].shots = plans[k].shots;
+            for (size_t s = 0; s < plans[k].shots; ++s)
+                ref[k].failures += predicted[s] != batch.observables[s];
         }
+    }
+    size_t refShots = 0;
+    size_t refFailures = 0;
+    for (const ChunkOutcome& o : ref) {
+        refShots += o.shots;
+        refFailures += o.failures;
     }
 
     BpOsdDecoder decoder(dem, bp);
@@ -806,18 +748,13 @@ TEST(WaveDecoder, RunChunkGroupMatchesPerChunkOutcomes)
     EXPECT_EQ(grouped.failures, refFailures);
     EXPECT_EQ(decoder.stats().stagedChunks, plans.size() - 1);
 
-    // Degenerate group of one behaves exactly like runChunk.
+    // A degenerate group of one is that chunk's own batch decode.
     BpOsdDecoder single(dem, bp);
     std::vector<ShotBatch> oneBatch;
     const ChunkOutcome lone =
         runChunkGroup(dem, plans.data(), 1, single, oneBatch);
-    BpOsdDecoder refDecoder(dem, bp);
-    ShotBatch refBatch;
-    std::vector<uint64_t> refPredicted;
-    const ChunkOutcome ref =
-        runChunk(dem, plans[0], refDecoder, refBatch, refPredicted);
-    EXPECT_EQ(lone.shots, ref.shots);
-    EXPECT_EQ(lone.failures, ref.failures);
+    EXPECT_EQ(lone.shots, ref[0].shots);
+    EXPECT_EQ(lone.failures, ref[0].failures);
     EXPECT_EQ(single.stats().stagedChunks, 0u);
 }
 
