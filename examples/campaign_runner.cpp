@@ -6,7 +6,7 @@
  * Three execution modes:
  *
  *  - In-process (default): every task runs on one local
- *    work-stealing pool with adaptive shot allocation.
+ *    thread pool with adaptive shot allocation.
  *  - Coordinator (--spool DIR, or `spool =` in the spec): the run is
  *    sharded through a filesystem spool. The coordinator compiles
  *    every artifact once into the spool's shared store, publishes
@@ -126,7 +126,6 @@ main(int argc, char** argv)
     double lease_override = 0.0;
     size_t worker_shards = 0;
     bool worker_mode = false;
-    bool die_after_claim = false;
     bool promote = false;
     bool takeover = false;
     bool self_execute = false;
@@ -169,10 +168,6 @@ main(int argc, char** argv)
             worker_id = next();
         } else if (arg == "--worker-shards") {
             worker_shards = static_cast<size_t>(std::atoll(next()));
-        } else if (arg == "--die-after-claim") {
-            // Undocumented test hook: claim one shard, then exit
-            // without completing it (exercises lease reclaim).
-            die_after_claim = true;
         } else if (arg == "--promote") {
             promote = true;
         } else if (arg == "--coordinator-takeover") {
@@ -212,7 +207,6 @@ main(int argc, char** argv)
         opts.threads = threads_override;
         opts.workerId = worker_id;
         opts.maxShards = worker_shards;
-        opts.dieAfterClaim = die_after_claim;
         opts.promote = promote;
         try {
             const WorkerReport report = runSpoolWorker(opts);

@@ -110,20 +110,20 @@ runChunkGroupStreamed(const DetectorErrorModel& dem,
     return outcome;
 }
 
-ChunkOutcome
-ChunkWorker::run(const DetectorErrorModel& dem, const ChunkPlan* plans,
-                 size_t count)
+size_t
+chunkShotsAt(const StoppingRule& rule, size_t index)
 {
-    return stream ? runChunkGroupStreamed(dem, plans, count, *stream,
-                                          batches)
-                  : runChunkGroup(dem, plans, count, decoder, batches);
+    const size_t chunkShots =
+        rule.chunkShots > 0 ? rule.chunkShots : StoppingRule{}.chunkShots;
+    const size_t planned = index * chunkShots;
+    if (planned >= rule.maxShots)
+        return 0;
+    return std::min(chunkShots, rule.maxShots - planned);
 }
 
 AdaptiveSampler::AdaptiveSampler(StoppingRule rule, uint64_t taskSeed)
     : rule_(rule), taskSeed_(taskSeed)
 {
-    if (rule_.chunkShots == 0)
-        rule_.chunkShots = 256;
     if (rule_.chunksPerWave == 0)
         rule_.chunksPerWave = 1;
     if (rule_.maxShots == 0)
@@ -140,8 +140,7 @@ AdaptiveSampler::nextWave()
          i < rule_.chunksPerWave && plannedShots_ < rule_.maxShots; ++i) {
         ChunkPlan plan;
         plan.index = nextChunk_++;
-        plan.shots = std::min(rule_.chunkShots,
-                              rule_.maxShots - plannedShots_);
+        plan.shots = chunkShotsAt(rule_, plan.index);
         plan.seed = chunkSeed(taskSeed_, plan.index);
         plannedShots_ += plan.shots;
         wave.push_back(plan);

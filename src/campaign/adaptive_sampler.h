@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "campaign/campaign_spec.h"
@@ -85,27 +84,6 @@ ChunkOutcome runChunkGroupStreamed(const DetectorErrorModel& dem,
                                    StreamDecoder& stream,
                                    std::vector<ShotBatch>& batches);
 
-/**
- * One pool thread's decode state for a task: the decoder, reusable
- * shot buffers (one per staged chunk) and, for streamed tasks, the
- * streaming front-end wrapping the same decoder.
- */
-struct ChunkWorker
-{
-    BpOsdDecoder decoder;
-    std::vector<ShotBatch> batches;
-    std::unique_ptr<StreamDecoder> stream;
-
-    ChunkWorker(const DetectorErrorModel& dem, const BpOptions& bp)
-        : decoder(dem, bp)
-    {}
-
-    /** runChunkGroupStreamed through `stream` if set, else
-     *  runChunkGroup. */
-    ChunkOutcome run(const DetectorErrorModel& dem,
-                     const ChunkPlan* plans, size_t count);
-};
-
 /** Per-task accumulator and stopping-rule evaluator. */
 class AdaptiveSampler
 {
@@ -147,6 +125,14 @@ class AdaptiveSampler
 
 /** Derive the RNG seed of chunk `index` of a task. */
 uint64_t chunkSeed(uint64_t taskSeed, size_t index);
+
+/**
+ * Shots of chunk `index` of a task under `rule`: full chunks (`0`
+ * means the StoppingRule default) until `maxShots`, then a short
+ * tail, then 0. AdaptiveSampler::nextWave plans with it, and spool
+ * workers rebuild a shard's ChunkPlans with it.
+ */
+size_t chunkShotsAt(const StoppingRule& rule, size_t index);
 
 } // namespace cyclone
 

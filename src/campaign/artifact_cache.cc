@@ -4,14 +4,10 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
-#include <unistd.h>
-
-#include "campaign/fault_plan.h"
+#include "campaign/spool.h"
 #include "common/crc32.h"
 
 namespace cyclone {
@@ -139,82 +135,6 @@ storePath(const std::string& dir, const char* kind, uint64_t key)
     std::snprintf(name, sizeof name, "%s-%016llx.bin", kind,
                   static_cast<unsigned long long>(key));
     return dir + "/" + name;
-}
-
-bool
-readWholeFile(const std::string& path, std::string& out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        return false;
-    out = std::move(data);
-    return true;
-}
-
-bool
-writeFileAtomicBinary(const std::string& path, const std::string& data)
-{
-    const FaultDecision f = faultPoint("cache.blob.commit");
-    if (f.transient)
-        return false; // publish skipped; the blob stays local-only
-    // Unique tmp name: concurrent processes publishing the same key
-    // must not clobber each other's partial writes.
-    char suffix[32];
-    std::snprintf(suffix, sizeof suffix, ".tmp-%ld",
-                  static_cast<long>(::getpid()));
-    const std::string tmp = path + suffix;
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out.write(data.data(),
-                  static_cast<std::streamsize>(data.size()));
-        if (!out)
-            return false;
-    }
-    if (f.torn) {
-        // A non-atomic writer dying mid-write: truncated bytes on
-        // the final path. Readers catch this via the header crc.
-        const size_t n =
-            faultTornLength("cache.blob.commit", data.size());
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(data.data(), static_cast<std::streamsize>(n));
-        out.flush();
-        std::remove(tmp.c_str());
-        faultCrash("cache.blob.commit");
-    }
-    if (f.crashBefore)
-        faultCrash("cache.blob.commit");
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (f.crashAfter)
-        faultCrash("cache.blob.commit");
-    return true;
-}
-
-/**
- * Move a corrupt store blob aside to <store>/quarantine/ so the
- * rebuild that follows republishes fresh bytes instead of racing a
- * file every reader knows is bad — and so operators can inspect what
- * went wrong. Best effort: another process may quarantine first.
- */
-void
-quarantineBlob(const std::string& store, const char* kind,
-               uint64_t key)
-{
-    const std::string path = storePath(store, kind, key);
-    const std::string dir = store + "/quarantine";
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const size_t slash = path.find_last_of('/');
-    std::rename(path.c_str(),
-                (dir + "/" + path.substr(slash + 1)).c_str());
 }
 
 void
@@ -442,14 +362,26 @@ ArtifactCache::getOrBuild(
         // bytes under the original name.
         if (!store.empty()) {
             std::string blob;
-            if (readWholeFile(storePath(store, kind, key), blob)) {
+            bool found = true;
+            try {
+                blob = spoolReadFile(storePath(store, kind, key));
+            } catch (const std::exception&) {
+                found = false;
+            }
+            if (found) {
                 try {
                     value = std::make_shared<const T>(deserialize(blob));
                     valueBytes = blob.size();
                     fromStore = true;
                 } catch (const std::exception&) {
+                    // Move the bad bytes aside, so the rebuild below
+                    // republishes fresh ones instead of racing a file
+                    // every reader knows is bad (and operators can
+                    // inspect what went wrong).
                     value.reset();
-                    quarantineBlob(store, kind, key);
+                    const std::string path = storePath(store, kind, key);
+                    moveToQuarantine(store,
+                                     path.substr(path.rfind('/') + 1));
                     quarantined = true;
                 }
             }
@@ -461,8 +393,13 @@ ArtifactCache::getOrBuild(
             } else {
                 const std::string blob = serialize(*value);
                 valueBytes = blob.size();
-                writeFileAtomicBinary(storePath(store, kind, key),
-                                      blob);
+                try {
+                    spoolWriteAtomic(storePath(store, kind, key), blob,
+                                     "cache.blob.commit");
+                } catch (const std::exception&) {
+                    // Publish skipped (transient fault, full disk):
+                    // the artifact stays local to this process.
+                }
             }
         }
     } catch (...) {

@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "campaign/adaptive_sampler.h"
 #include "campaign/content_hash.h"
+#include "campaign/executor.h"
+#include "campaign/thread_pool.h"
 #include "circuit/memory_circuit.h"
 #include "dem/dem_builder.h"
 #include "noise/noise_model.h"
@@ -23,89 +21,6 @@
 namespace cyclone {
 
 namespace {
-
-/**
- * Map a task's StreamSpec onto StreamDecoderOptions. The deadline
- * defaults to one window period — rounds x the task's (compiled or
- * explicit) round latency, the time the hardware takes to produce
- * the next window — so deadline misses mean "the decoder fell behind
- * the machine". Requires built artifacts (rt.latencyUs).
- */
-StreamDecoderOptions
-streamOptionsFor(const ResolvedTask& rt)
-{
-    const StreamSpec& ss = rt.spec->stream;
-    StreamDecoderOptions o;
-    o.streams = ss.streams > 0 ? ss.streams : 1;
-    o.roundsPerWindow = rt.rounds > 0 ? rt.rounds : 1;
-    o.policy = ss.deadlineFlush ? FlushPolicy::Deadline
-                                : FlushPolicy::FullWave;
-    o.deadlineUs = ss.deadlineUs > 0.0
-        ? ss.deadlineUs
-        : rt.latencyUs * static_cast<double>(o.roundsPerWindow);
-    o.flushAfterUs = ss.flushAfterUs;
-    o.capacityChunks =
-        std::max<size_t>(size_t{1}, rt.spec->stop.stagingChunks);
-    return o;
-}
-
-struct TaskState
-{
-    ResolvedTask rt;
-
-    std::optional<AdaptiveSampler> sampler;
-    std::vector<std::unique_ptr<ChunkWorker>> workers;
-    size_t outstanding = 0;
-    double sampleSeconds = 0.0;
-    bool resolved = false;
-    bool failed = false;
-    bool finished = false;
-};
-
-enum class EventKind
-{
-    Resolved,
-    ChunkDone,
-    Failed,
-};
-
-struct Event
-{
-    EventKind kind = EventKind::Failed;
-    size_t task = 0;
-    ChunkOutcome outcome;
-    double seconds = 0.0;
-    std::string error;
-};
-
-/** Completion channel from pool workers to the coordinator. */
-struct EventQueue
-{
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Event> events;
-
-    void
-    push(Event e)
-    {
-        // Notify under the lock: the coordinator may pop this event,
-        // finish the run and destroy the queue; holding the mutex
-        // through the notify keeps the cv alive for the whole call.
-        std::lock_guard<std::mutex> lock(mutex);
-        events.push_back(std::move(e));
-        cv.notify_one();
-    }
-
-    Event
-    pop()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return !events.empty(); });
-        Event e = std::move(events.front());
-        events.pop_front();
-        return e;
-    }
-};
 
 uint64_t
 taskContentHash(const ResolvedTask& rt)
@@ -144,6 +59,72 @@ elapsedSeconds(std::chrono::steady_clock::time_point since)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - since)
         .count();
+}
+
+/**
+ * Map a task's StreamSpec onto StreamDecoderOptions. The deadline
+ * defaults to one window period — rounds x the task's (compiled or
+ * explicit) round latency, the time the hardware takes to produce
+ * the next window — so deadline misses mean "the decoder fell behind
+ * the machine". Requires built artifacts (rt.latencyUs).
+ */
+StreamDecoderOptions
+streamOptionsFor(const ResolvedTask& rt)
+{
+    const StreamSpec& ss = rt.spec->stream;
+    StreamDecoderOptions o;
+    o.streams = ss.streams > 0 ? ss.streams : 1;
+    o.roundsPerWindow = rt.rounds > 0 ? rt.rounds : 1;
+    o.policy = ss.deadlineFlush ? FlushPolicy::Deadline
+                                : FlushPolicy::FullWave;
+    o.deadlineUs = ss.deadlineUs > 0.0
+        ? ss.deadlineUs
+        : rt.latencyUs * static_cast<double>(o.roundsPerWindow);
+    o.flushAfterUs = ss.flushAfterUs;
+    o.capacityChunks =
+        std::max<size_t>(size_t{1}, rt.spec->stop.stagingChunks);
+    return o;
+}
+
+/** Copy DEM/compile-derived metadata of a built task into a result. */
+void
+fillResolvedMetadata(TaskResult& r, const ResolvedTask& rt)
+{
+    r.roundLatencyUs = rt.latencyUs;
+    if (rt.dem) {
+        r.demDetectors = rt.dem->numDetectors;
+        r.demMechanisms = rt.dem->mechanisms.size();
+    }
+    if (rt.compiled) {
+        r.compileMakespanUs = rt.compiled->execTimeUs;
+        r.compileBreakdown = rt.compiled->serialized;
+        r.compileParallelFraction = rt.compiled->parallelFraction();
+        r.trapRoadblocks = rt.compiled->trapRoadblocks;
+        r.junctionRoadblocks = rt.compiled->junctionRoadblocks;
+        r.roadblockWaits = rt.compiled->schedule.waitHistogram();
+    }
+}
+
+/**
+ * If `saved` holds a completed task with `r.contentHash`, replace `r`
+ * with it — keeping `r`'s identity fields, marking fromCheckpoint —
+ * and return true.
+ */
+bool
+applyCheckpoint(TaskResult& r, const CampaignCheckpoint& saved)
+{
+    auto it = saved.tasks.find(r.contentHash);
+    if (it == saved.tasks.end())
+        return false;
+    TaskResult restored = it->second;
+    restored.id = std::move(r.id);
+    restored.codeName = std::move(r.codeName);
+    restored.architecture = std::move(r.architecture);
+    restored.physicalError = r.physicalError;
+    restored.xBasis = r.xBasis;
+    restored.fromCheckpoint = true;
+    r = std::move(restored);
+    return true;
 }
 
 } // namespace
@@ -190,27 +171,20 @@ resolveTaskIdentities(const CampaignSpec& spec)
             if (t.codeName.empty())
                 throw std::invalid_argument(
                     "TaskSpec needs codeName or an inline code");
-            auto it = codeByName.find(t.codeName);
-            if (it == codeByName.end())
-                it = codeByName
-                         .emplace(t.codeName,
-                                  std::make_shared<const CssCode>(
-                                      resolveCampaignCode(t.codeName)))
-                         .first;
-            rt.code = it->second;
+            auto& code = codeByName[t.codeName];
+            if (!code)
+                code = std::make_shared<const CssCode>(
+                    resolveCampaignCode(t.codeName));
+            rt.code = code;
         }
         if (t.schedule) {
             rt.schedule = t.schedule;
         } else {
-            auto it = schedByCode.find(rt.code.get());
-            if (it == schedByCode.end())
-                it = schedByCode
-                         .emplace(rt.code.get(),
-                                  std::make_shared<
-                                      const SyndromeSchedule>(
-                                      makeXThenZSchedule(*rt.code)))
-                         .first;
-            rt.schedule = it->second;
+            auto& schedule = schedByCode[rt.code.get()];
+            if (!schedule)
+                schedule = std::make_shared<const SyndromeSchedule>(
+                    makeXThenZSchedule(*rt.code));
+            rt.schedule = schedule;
         }
         rt.rounds = t.rounds > 0
             ? t.rounds
@@ -308,40 +282,6 @@ buildTaskArtifacts(ResolvedTask& rt, ArtifactCache& cache)
     });
 }
 
-TaskResult
-taskResultFor(const ResolvedTask& rt, size_t index)
-{
-    const TaskSpec& t = *rt.spec;
-    TaskResult r;
-    r.id = !t.id.empty() ? t.id : "task" + std::to_string(index);
-    r.codeName = !t.codeName.empty() ? t.codeName : rt.code->name();
-    r.architecture =
-        t.compileLatency ? architectureName(t.architecture) : "explicit";
-    r.physicalError = t.physicalError;
-    r.rounds = rt.rounds;
-    r.xBasis = t.xBasis;
-    r.contentHash = rt.contentHash;
-    return r;
-}
-
-void
-fillResolvedMetadata(TaskResult& r, const ResolvedTask& rt)
-{
-    r.roundLatencyUs = rt.latencyUs;
-    if (rt.dem) {
-        r.demDetectors = rt.dem->numDetectors;
-        r.demMechanisms = rt.dem->mechanisms.size();
-    }
-    if (rt.compiled) {
-        r.compileMakespanUs = rt.compiled->execTimeUs;
-        r.compileBreakdown = rt.compiled->serialized;
-        r.compileParallelFraction = rt.compiled->parallelFraction();
-        r.trapRoadblocks = rt.compiled->trapRoadblocks;
-        r.junctionRoadblocks = rt.compiled->junctionRoadblocks;
-        r.roadblockWaits = rt.compiled->schedule.waitHistogram();
-    }
-}
-
 void
 setShotCounts(TaskResult& r, size_t failures, size_t shots)
 {
@@ -355,36 +295,171 @@ setShotCounts(TaskResult& r, size_t failures, size_t shots)
     }
 }
 
-void
-finalizeTaskResult(TaskResult& r, const ResolvedTask& rt,
-                   const AdaptiveSampler* sampler, double sampleSeconds)
+GroupResult
+ChunkGroupRunner::run(const ChunkPlan* plans, size_t count)
 {
-    if (sampler) {
-        setShotCounts(r, sampler->failures(), sampler->shots());
-        r.chunks = sampler->chunksPlanned();
-        r.stoppedEarly = sampler->stoppedEarly();
+    const auto c0 = std::chrono::steady_clock::now();
+    const DetectorErrorModel& dem = *task_.dem;
+    const int w = ThreadPool::workerIndex();
+    std::unique_ptr<Worker>& worker =
+        workers_[w >= 0 ? static_cast<size_t>(w) : 0];
+    GroupResult g;
+    BpOsdStats before;
+    try {
+        if (!worker) {
+            worker = std::make_unique<Worker>(dem, task_.spec->bp);
+            if (task_.spec->stream.enabled)
+                worker->stream = std::make_unique<StreamDecoder>(
+                    worker->decoder, dem.numDetectors,
+                    streamOptionsFor(task_));
+        }
+        before = worker->decoder.stats();
+        g.outcome = worker->stream
+            ? runChunkGroupStreamed(dem, plans, count, *worker->stream,
+                                    worker->batches)
+            : runChunkGroup(dem, plans, count, worker->decoder,
+                            worker->batches);
+    } catch (const std::exception& ex) {
+        g.error = ex.what();
+    } catch (...) {
+        g.error = "unknown sampling error";
     }
-    fillResolvedMetadata(r, rt);
-    r.sampleSeconds = sampleSeconds;
+    if (worker) {
+        const BpOsdStats& after = worker->decoder.stats();
+        g.decoder.backend = after.backend;
+        for (const auto& c : BpOsdStats::kCounters)
+            g.decoder.*c.member = after.*c.member - before.*c.member;
+    }
+    g.seconds = elapsedSeconds(c0);
+    return g;
+}
+
+void
+ChunkGroupRunner::mergeStreamStats(TaskResult& r) const
+{
+    for (const auto& worker : workers_) {
+        if (worker && worker->stream) {
+            r.streamed = true;
+            r.stream.merge(worker->stream->stats());
+        }
+    }
+    if (r.streamed)
+        r.stream.computePercentiles();
+}
+
+WaveExecutor::WaveExecutor(const CampaignSpec& spec,
+                           const CampaignCheckpoint* resume,
+                           CampaignEngine::TaskCallback onTaskDone)
+    : onTaskDone_(std::move(onTaskDone))
+{
+    std::vector<ResolvedTask> resolved = resolveTaskIdentities(spec);
+    const size_t n = resolved.size();
+    result.name = spec.name;
+    result.seed = spec.seed;
+    result.tasks.resize(n);
+    tasks.resize(n);
+    remaining = n;
+    for (size_t i = 0; i < n; ++i) {
+        tasks[i].rt = std::move(resolved[i]);
+        const ResolvedTask& rt = tasks[i].rt;
+        const TaskSpec& t = *rt.spec;
+        TaskResult& r = result.tasks[i];
+        r.id = !t.id.empty() ? t.id : "task" + std::to_string(i);
+        r.codeName = !t.codeName.empty() ? t.codeName : rt.code->name();
+        r.architecture = t.compileLatency
+            ? architectureName(t.architecture)
+            : "explicit";
+        r.physicalError = t.physicalError;
+        r.rounds = rt.rounds;
+        r.xBasis = t.xBasis;
+        r.contentHash = rt.contentHash;
+        if (resume != nullptr && applyCheckpoint(r, *resume))
+            complete(i);
+    }
+}
+
+void
+WaveExecutor::advance(size_t i)
+{
+    Task& st = tasks[i];
+    if (!st.sampler && st.rt.dem && !st.failed)
+        st.sampler.emplace(st.rt.spec->stop, st.rt.taskSeed);
+    if (st.sampler && !st.failed) {
+        const std::vector<ChunkPlan> wave = st.sampler->nextWave();
+        if (!wave.empty()) {
+            st.outstanding = dispatch(i, wave);
+            return;
+        }
+    }
+    finalize(i);
+}
+
+void
+WaveExecutor::absorb(size_t i, const GroupResult& unit)
+{
+    Task& st = tasks[i];
+    st.sampleSeconds += unit.seconds;
+    result.tasks[i].decoder.merge(unit.decoder);
+    --st.outstanding;
+    if (!unit.error.empty()) {
+        fail(i, unit.error);
+        return;
+    }
+    st.sampler->absorb(unit.outcome);
+    if (st.outstanding == 0)
+        advance(i);
+}
+
+void
+WaveExecutor::fail(size_t i, const std::string& error)
+{
+    if (result.tasks[i].error.empty())
+        result.tasks[i].error = error;
+    tasks[i].failed = true;
+    if (tasks[i].outstanding == 0)
+        finalize(i);
 }
 
 bool
-applyCheckpoint(TaskResult& r, const CampaignCheckpoint* resume)
+WaveExecutor::restore(size_t i, const CampaignCheckpoint& journal)
 {
-    if (resume == nullptr)
+    TaskResult& r = result.tasks[i];
+    if (!tasks[i].rt.dem || !applyCheckpoint(r, journal))
         return false;
-    auto it = resume->tasks.find(r.contentHash);
-    if (it == resume->tasks.end())
-        return false;
-    TaskResult saved = it->second;
-    saved.id = std::move(r.id);
-    saved.codeName = std::move(r.codeName);
-    saved.architecture = std::move(r.architecture);
-    saved.physicalError = r.physicalError;
-    saved.xBasis = r.xBasis;
-    saved.fromCheckpoint = true;
-    r = std::move(saved);
+    // The journal holds exactly what finalize derived; the built
+    // artifacts supply the compile metadata.
+    fillResolvedMetadata(r, tasks[i].rt);
+    r.fromCheckpoint = false;
+    complete(i);
     return true;
+}
+
+void
+WaveExecutor::finalize(size_t i)
+{
+    Task& st = tasks[i];
+    TaskResult& r = result.tasks[i];
+    if (st.sampler) {
+        setShotCounts(r, st.sampler->failures(), st.sampler->shots());
+        r.chunks = st.sampler->chunksPlanned();
+        r.stoppedEarly = st.sampler->stoppedEarly();
+    }
+    fillResolvedMetadata(r, st.rt);
+    r.sampleSeconds = st.sampleSeconds;
+    if (st.runner)
+        st.runner->mergeStreamStats(r);
+    complete(i);
+    if (onFinalized)
+        onFinalized(i);
+}
+
+void
+WaveExecutor::complete(size_t i)
+{
+    tasks[i].finished = true;
+    --remaining;
+    if (onTaskDone_)
+        onTaskDone_(result.tasks[i]);
 }
 
 CampaignEngine::CampaignEngine(ThreadPool& pool, ArtifactCache& cache)
@@ -398,178 +473,67 @@ CampaignEngine::run(const CampaignSpec& spec,
 {
     const auto t0 = std::chrono::steady_clock::now();
     const CacheStats before = cache_.stats();
-    const size_t n = spec.tasks.size();
+    // Resolves identities up front on the coordinator: cheap, and bad
+    // specs fail before any job launches.
+    WaveExecutor ex(spec, resume, onTaskDone);
+    // Pool jobs report (task, result): a build (its error, if any),
+    // or one staging group.
+    CompletionQueue<std::pair<size_t, GroupResult>> events;
 
-    CampaignResult result;
-    result.name = spec.name;
-    result.seed = spec.seed;
-    result.tasks.resize(n);
-
-    // Resolve codes, schedules, seeds and identities up front on the
-    // coordinator: cheap, and bad specs fail before any job launches.
-    std::vector<ResolvedTask> resolved = resolveTaskIdentities(spec);
-    std::vector<TaskState> states(n);
-    for (size_t i = 0; i < n; ++i) {
-        TaskState& st = states[i];
-        st.rt = std::move(resolved[i]);
-        st.workers.resize(pool_.size());
-        result.tasks[i] = taskResultFor(st.rt, i);
-    }
-
-    EventQueue events;
-    size_t remaining = 0;
-
-    auto finalize = [&](size_t i) {
-        TaskState& st = states[i];
-        TaskResult& r = result.tasks[i];
-        st.finished = true;
-        finalizeTaskResult(r, st.rt,
-                           st.sampler ? &*st.sampler : nullptr,
-                           st.sampleSeconds);
-        for (const auto& ctx : st.workers) {
-            if (!ctx)
-                continue;
-            r.decoder.merge(ctx->decoder.stats());
-            if (ctx->stream) {
-                r.streamed = true;
-                r.stream.merge(ctx->stream->stats());
-            }
-        }
-        if (r.streamed)
-            r.stream.computePercentiles();
-        if (onTaskDone)
-            onTaskDone(r);
-    };
-
-    auto dispatchWave = [&](size_t i) -> bool {
-        TaskState& st = states[i];
-        std::vector<ChunkPlan> wave = st.sampler->nextWave();
-        if (wave.empty())
-            return false;
-        // Cross-chunk syndrome staging: partition the wave into
-        // groups of `stagingChunks` consecutive plans and submit one
-        // decode job per group. Group boundaries depend only on the
-        // wave's chunk indices — never on worker count or completion
-        // order — so every decoder statistic stays deterministic.
-        const size_t group = std::max<size_t>(
-            size_t{1}, st.rt.spec->stop.stagingChunks);
-        std::vector<std::vector<ChunkPlan>> jobs;
-        for (size_t g = 0; g < wave.size(); g += group)
-            jobs.emplace_back(
-                wave.begin() + static_cast<std::ptrdiff_t>(g),
-                wave.begin() + static_cast<std::ptrdiff_t>(
-                                   std::min(g + group, wave.size())));
-        st.outstanding = jobs.size();
-        for (std::vector<ChunkPlan>& job : jobs) {
-            pool_.submit([&events, &st, i, plans = std::move(job)] {
-                const auto c0 = std::chrono::steady_clock::now();
-                Event e;
-                e.task = i;
-                try {
-                    const int w = ThreadPool::workerIndex();
-                    auto& ctx = st.workers[w >= 0
-                                               ? static_cast<size_t>(w)
-                                               : 0];
-                    if (!ctx) {
-                        ctx = std::make_unique<ChunkWorker>(
-                            *st.rt.dem, st.rt.spec->bp);
-                        if (st.rt.spec->stream.enabled)
-                            ctx->stream =
-                                std::make_unique<StreamDecoder>(
-                                    ctx->decoder,
-                                    st.rt.dem->numDetectors,
-                                    streamOptionsFor(st.rt));
-                    }
-                    e.outcome =
-                        ctx->run(*st.rt.dem, plans.data(), plans.size());
-                    e.kind = EventKind::ChunkDone;
-                } catch (const std::exception& ex) {
-                    e.kind = EventKind::Failed;
-                    e.error = ex.what();
-                } catch (...) {
-                    e.kind = EventKind::Failed;
-                    e.error = "unknown sampling error";
-                }
-                e.seconds = elapsedSeconds(c0);
-                events.push(std::move(e));
+    // Cross-chunk syndrome staging: one decode job per group of
+    // `stagingChunks` consecutive plans. Group boundaries depend only
+    // on the wave's chunk indices — never on worker count or
+    // completion order — so every decoder statistic stays
+    // deterministic.
+    ex.dispatch = [&](size_t i, const std::vector<ChunkPlan>& wave) {
+        WaveExecutor::Task& st = ex.tasks[i];
+        if (!st.runner)
+            st.runner =
+                std::make_unique<ChunkGroupRunner>(st.rt, pool_.size());
+        size_t jobs = 0;
+        forEachStagingGroup(
+            st.rt.spec->stop, wave.size(), [&](size_t g, size_t count) {
+                ++jobs;
+                pool_.submit([&events, i, runner = st.runner.get(),
+                              plans = std::vector<ChunkPlan>(
+                                  wave.begin() + g,
+                                  wave.begin() + g + count)] {
+                    events.push(
+                        {i, runner->run(plans.data(), plans.size())});
+                });
             });
-        }
-        return true;
+        return jobs;
     };
 
-    // Checkpointed tasks are done on the spot; the rest get a resolve
-    // job (compile + DEM build through the shared cache).
-    for (size_t i = 0; i < n; ++i) {
-        TaskState& st = states[i];
-        if (applyCheckpoint(result.tasks[i], resume)) {
-            st.finished = true;
-            if (onTaskDone)
-                onTaskDone(result.tasks[i]);
+    // Every task not restored from the checkpoint gets a build job
+    // (compile + DEM through the shared cache).
+    for (size_t i = 0; i < ex.tasks.size(); ++i) {
+        if (ex.tasks[i].finished)
             continue;
-        }
-        ++remaining;
-        pool_.submit([this, &events, &st, i] {
-            Event e;
-            e.task = i;
+        pool_.submit([this, &events, &rt = ex.tasks[i].rt, i] {
+            GroupResult built;
             try {
-                buildTaskArtifacts(st.rt, cache_);
-                e.kind = EventKind::Resolved;
-            } catch (const std::exception& ex) {
-                e.kind = EventKind::Failed;
-                e.error = ex.what();
+                buildTaskArtifacts(rt, cache_);
+            } catch (const std::exception& err) {
+                built.error = err.what();
             } catch (...) {
-                e.kind = EventKind::Failed;
-                e.error = "unknown build error";
+                built.error = "unknown build error";
             }
-            events.push(std::move(e));
+            events.push({i, std::move(built)});
         });
     }
 
-    while (remaining > 0) {
-        Event e = events.pop();
-        TaskState& st = states[e.task];
-        if (st.finished)
-            continue;
-        switch (e.kind) {
-          case EventKind::Resolved:
-            st.resolved = true;
-            st.sampler.emplace(st.rt.spec->stop, st.rt.taskSeed);
-            if (!dispatchWave(e.task)) {
-                finalize(e.task);
-                --remaining;
-            }
-            break;
-          case EventKind::ChunkDone:
-            st.sampler->absorb(e.outcome);
-            st.sampleSeconds += e.seconds;
-            if (--st.outstanding == 0) {
-                if (st.failed || st.sampler->done() ||
-                    !dispatchWave(e.task)) {
-                    finalize(e.task);
-                    --remaining;
-                }
-            }
-            break;
-          case EventKind::Failed:
-            if (result.tasks[e.task].error.empty())
-                result.tasks[e.task].error = e.error;
-            if (!st.resolved) {
-                finalize(e.task);
-                --remaining;
-            } else {
-                // A chunk failed: drain the rest of its wave before
-                // finalizing so no job still references this task.
-                st.failed = true;
-                st.sampleSeconds += e.seconds;
-                if (--st.outstanding == 0) {
-                    finalize(e.task);
-                    --remaining;
-                }
-            }
-            break;
-        }
+    while (ex.remaining > 0) {
+        const auto [i, unit] = events.pop();
+        if (ex.tasks[i].sampler) // sampling: one of its groups is done
+            ex.absorb(i, unit);
+        else if (!unit.error.empty()) // its build failed
+            ex.fail(i, unit.error);
+        else // built: plan the first wave
+            ex.advance(i);
     }
 
+    CampaignResult result = std::move(ex.result);
     const CacheStats after = cache_.stats();
     for (const auto& c : CacheStats::kCounters)
         result.cache.*c.member = after.*c.member - before.*c.member;

@@ -1,15 +1,18 @@
 /**
  * @file
  * The campaign engine: adaptive Monte-Carlo orchestration of many
- * logical-error-rate experiments on one shared work-stealing pool.
+ * logical-error-rate experiments on one shared thread pool.
  *
  * The engine turns a declarative CampaignSpec into per-task LER
- * estimates. Every stage runs as pool jobs: architecture compiles and
- * DEM builds are deduplicated through the shared ArtifactCache, and
- * sampling is scheduled in deterministic chunk waves whose shot totals
- * adapt per task (see AdaptiveSampler). The caller's thread only
- * coordinates, so campaigns scale to every core the pool owns while
- * remaining bit-reproducible for a fixed seed at any thread count.
+ * estimates. It is the in-memory transport of the one campaign
+ * executor (executor.h): compiles and DEM builds run as pool jobs,
+ * deduplicated through the shared ArtifactCache, and each wave's
+ * staging groups run as pool jobs whose completions come back
+ * through a condition-variable queue, so the caller's thread only
+ * coordinates and never polls. The spool coordinator (coordinator.h)
+ * is the same executor over a filesystem transport. Waves and their
+ * adaptive shot totals (see AdaptiveSampler) do not depend on thread
+ * count, so results are bit-reproducible for a fixed seed.
  */
 
 #ifndef CYCLONE_CAMPAIGN_CAMPAIGN_H
@@ -30,8 +33,6 @@
 #include "decoder/stream_decoder.h"
 
 namespace cyclone {
-
-class AdaptiveSampler;
 
 /** Outcome of one campaign task. */
 struct TaskResult
@@ -158,13 +159,13 @@ struct CampaignResult
 
 /**
  * A task with its identity — and, after buildTaskArtifacts, its
- * compiled artifacts — resolved. This is the unit both execution
- * modes share: the in-process engine resolves tasks on its pool, the
- * spool coordinator and every worker process resolve the same spec
- * text through resolveTaskIdentities and arrive at the same content
- * hashes, seeds and artifacts, which is what makes distributed
- * results bit-identical to local ones. `spec` points into the
- * CampaignSpec it was resolved from, which must stay alive.
+ * compiled artifacts — resolved. Both transports share it: the
+ * in-process engine, the spool coordinator and every worker process
+ * resolve the same spec text through resolveTaskIdentities and
+ * arrive at the same content hashes, seeds and artifacts, which is
+ * what makes distributed results bit-identical to local ones.
+ * `spec` points into the CampaignSpec it was resolved from, which
+ * must stay alive.
  */
 struct ResolvedTask
 {
@@ -202,38 +203,12 @@ std::vector<ResolvedTask> resolveTaskIdentities(const CampaignSpec& spec);
 void buildTaskArtifacts(ResolvedTask& task, ArtifactCache& cache);
 
 /**
- * A result carrying task `index`'s identity (id, code, architecture,
- * p, rounds, basis, content hash) and nothing else yet.
- */
-TaskResult taskResultFor(const ResolvedTask& task, size_t index);
-
-/** Copy DEM/compile-derived metadata of a built task into a result. */
-void fillResolvedMetadata(TaskResult& result, const ResolvedTask& task);
-
-/**
  * Set a result's shot counts and everything derived from them: the
  * LER estimate, its Wilson half-width and the per-round rate
  * 1 - (1 - LER)^(1/rounds) (`result.rounds` must be set). Pure in
  * (failures, shots, rounds), so a restored task is bit-identical.
  */
 void setShotCounts(TaskResult& result, size_t failures, size_t shots);
-
-/**
- * Finish a task's result after its last wave: shot counts, chunk
- * count and early-stop flag from `sampler` (null if the task failed
- * before sampling), built-artifact metadata, and worker seconds.
- * Shared by the in-process engine and the spool coordinator.
- */
-void finalizeTaskResult(TaskResult& result, const ResolvedTask& task,
-                        const AdaptiveSampler* sampler,
-                        double sampleSeconds);
-
-/**
- * If `resume` holds a completed task with `result.contentHash`,
- * replace `result` with it — keeping `result`'s identity fields,
- * marking fromCheckpoint — and return true.
- */
-bool applyCheckpoint(TaskResult& result, const CampaignCheckpoint* resume);
 
 /** Orchestrates campaigns over a shared pool and artifact cache. */
 class CampaignEngine

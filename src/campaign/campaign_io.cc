@@ -2,15 +2,13 @@
 
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include <unistd.h>
-
 #include "campaign/record_codec.h"
+#include "campaign/spool.h"
 #include "compiler/architecture.h"
 
 namespace cyclone {
@@ -401,21 +399,12 @@ campaignResultToCsv(const CampaignResult& result)
 bool
 writeTextFile(const std::string& path, const std::string& content)
 {
-    // Pid-unique tmp name: concurrent writers of the same path (two
-    // coordinators racing a checkpoint during a failover window)
-    // never interleave into one tmp file, and the rename publishes
-    // whichever finished last, complete.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return false;
-        out << content;
-        if (!out)
-            return false;
+    try {
+        spoolWriteAtomic(path, content);
+        return true;
+    } catch (const std::exception&) {
+        return false;
     }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 std::string
@@ -484,12 +473,13 @@ saveCheckpoint(const CampaignResult& result, const std::string& path)
 bool
 loadCheckpoint(const std::string& path, CampaignCheckpoint& out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string text;
+    try {
+        text = spoolReadFile(path);
+    } catch (const std::exception&) {
         return false;
-    std::ostringstream text;
-    text << in.rdbuf();
-    out = parseCheckpoint(text.str());
+    }
+    out = parseCheckpoint(text);
     return true;
 }
 

@@ -1,25 +1,17 @@
 #include "campaign/coordinator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "campaign/adaptive_sampler.h"
 #include "campaign/campaign_io.h"
-#include "campaign/content_hash.h"
+#include "campaign/executor.h"
 #include "campaign/fault_plan.h"
 #include "campaign/record_codec.h"
 #include "campaign/thread_pool.h"
@@ -29,13 +21,7 @@ namespace cyclone {
 namespace {
 
 constexpr const char* kWorkerStatsMagic = "cyclone-worker-stats v2";
-constexpr const char* kHealthMagic = "cyclone-worker-health v1";
-
-void
-sleepSeconds(double s)
-{
-    std::this_thread::sleep_for(std::chrono::duration<double>(s));
-}
+constexpr const char* kHealthMagic = "cyclone-worker-health v2";
 
 /** Install the spec's fault plan unless the environment already
  *  provided one (the env var wins so CI can inject without editing
@@ -58,125 +44,73 @@ retryPolicyFrom(size_t attempts, double baseMs)
     return p;
 }
 
-/** Coordinator-side view of one task in flight. */
-struct CoordTask
-{
-    ResolvedTask rt;
-    std::optional<AdaptiveSampler> sampler;
-    /** Shard ids of the current wave still awaiting records. */
-    std::vector<std::string> outstanding;
-    /** Descriptors of published-but-unmerged shards, kept so a shard
-     *  whose record was quarantined can be republished even if every
-     *  on-disk copy of its descriptor is gone. */
-    std::unordered_map<std::string, ShardDescriptor> inflight;
-    size_t nextShard = 0;
-    bool finished = false;
-    double sampleSeconds = 0.0;
-};
-
 /**
- * Execute one claimed shard on `pool` and publish its record —
- * the one shard-execution path, shared by worker loops and
- * self-executing coordinators so both produce byte-identical
- * records. Heartbeats the claim (and `extraHeartbeat`, e.g. the
- * coordinator lease) while the pool decodes.
+ * Execute one claimed shard on `pool` through the task's runner and
+ * publish its record — the one shard-execution path, shared by
+ * worker loops and self-executing coordinators so both produce
+ * byte-identical records. Heartbeats the claim (and
+ * `extraHeartbeat`, e.g. the coordinator lease) while the pool
+ * decodes.
  */
 ShardRecord
-executeShardChunks(Spool& spool, const std::string& id,
-                   const ShardDescriptor& d, const ResolvedTask& rt,
-                   ThreadPool& pool, double leaseSeconds,
-                   const std::function<void()>& extraHeartbeat)
+executeShard(Spool& spool, const std::string& id, const ShardDescriptor& d,
+             const ResolvedTask& rt, ChunkGroupRunner& runner,
+             ThreadPool& pool, double leaseSeconds,
+             const std::function<void()>& extraHeartbeat)
 {
-    const StoppingRule& rule = rt.spec->stop;
-    const size_t staging = std::max<size_t>(1, rule.stagingChunks);
-
-    // Rebuild the shard's exact ChunkPlans from its chunk range:
-    // same shots formula and seed derivation the coordinator's
+    // Rebuild the shard's exact ChunkPlans from its chunk range: the
+    // same shot formula and seed derivation the coordinator's
     // sampler used when it planned the wave.
+    const StoppingRule& rule = rt.spec->stop;
     std::vector<ChunkPlan> plans(d.numChunks);
     for (size_t k = 0; k < d.numChunks; ++k) {
         plans[k].index = d.firstChunk + k;
         plans[k].shots = chunkShotsAt(rule, plans[k].index);
-        plans[k].seed = chunkSeed(d.taskSeed, plans[k].index);
+        plans[k].seed = chunkSeed(rt.taskSeed, plans[k].index);
     }
 
-    // Per-pool-thread decode state, rebuilt per shard so every
-    // record's decoder counters cover exactly that shard's groups.
-    std::vector<std::unique_ptr<ChunkWorker>> ctxs(pool.size());
-    std::mutex mutex;
-    ChunkOutcome total;
-    double seconds = 0.0;
-    std::exception_ptr error;
-    std::atomic<size_t> pending{0};
-
-    for (size_t g = 0; g < plans.size(); g += staging) {
-        const size_t count = std::min(staging, plans.size() - g);
-        pending.fetch_add(1);
-        pool.submit([&, g, count] {
-            const auto c0 = std::chrono::steady_clock::now();
-            try {
-                const int w = ThreadPool::workerIndex();
-                auto& ctx = ctxs[w >= 0 ? static_cast<size_t>(w) : 0];
-                if (!ctx)
-                    ctx = std::make_unique<ChunkWorker>(*rt.dem,
-                                                        rt.spec->bp);
-                const ChunkOutcome out =
-                    ctx->run(*rt.dem, plans.data() + g, count);
-                std::lock_guard<std::mutex> lock(mutex);
-                total.shots += out.shots;
-                total.failures += out.failures;
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!error)
-                    error = std::current_exception();
-            }
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                seconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - c0)
-                               .count();
-            }
-            // Last touch of this frame: once pending reaches 0 the
-            // waiter below returns and `mutex` is destroyed, so the
-            // lock must already be released.
-            pending.fetch_sub(1);
+    CompletionQueue<GroupResult> done;
+    size_t groups = 0;
+    forEachStagingGroup(rule, plans.size(), [&](size_t g, size_t count) {
+        ++groups;
+        pool.submit([&done, &runner, &plans, g, count] {
+            done.push(runner.run(plans.data() + g, count));
         });
-    }
+    });
 
-    // Heartbeat the claim while the pool decodes, so a healthy
-    // worker's lease never expires mid-shard.
-    while (pending.load() > 0) {
-        spool.heartbeat(id);
-        if (extraHeartbeat)
-            extraHeartbeat();
-        sleepSeconds(std::min(0.05, leaseSeconds / 8.0));
-    }
-    if (error)
-        std::rethrow_exception(error);
-
+    // Merge groups as they finish, and heartbeat the claim every beat
+    // meanwhile, so a healthy worker's lease never expires mid-shard.
     ShardRecord rec;
     rec.task = d.task;
     rec.shard = d.shard;
     rec.contentHash = d.contentHash;
-    rec.shots = total.shots;
-    rec.failures = total.failures;
-    rec.seconds = seconds;
-    for (const auto& ctx : ctxs)
-        if (ctx)
-            rec.decoder.merge(ctx->decoder.stats());
+    std::string error;
+    const std::chrono::duration<double> beat(
+        std::min(0.05, leaseSeconds / 8.0));
+    auto lastBeat = std::chrono::steady_clock::now();
+    for (size_t merged = 0; merged < groups;) {
+        GroupResult r;
+        const bool finished = done.pop(r, beat);
+        if (std::chrono::steady_clock::now() - lastBeat >= beat) {
+            spool.heartbeat(id);
+            if (extraHeartbeat)
+                extraHeartbeat();
+            lastBeat = std::chrono::steady_clock::now();
+        }
+        if (!finished)
+            continue;
+        ++merged;
+        rec.shots += r.outcome.shots;
+        rec.failures += r.outcome.failures;
+        rec.seconds += r.seconds;
+        rec.decoder.merge(r.decoder);
+        if (error.empty())
+            error = r.error;
+    }
+    if (!error.empty())
+        throw std::runtime_error(error);
     spool.completeShard(id, rec);
     return rec;
-}
-
-/** Task index encoded in a shard id ("t0007-s00012" -> 7), or
- *  SIZE_MAX if the id is not of that shape. */
-size_t
-taskIndexOfShardId(const std::string& id)
-{
-    unsigned long task = 0;
-    if (std::sscanf(id.c_str(), "t%lu-", &task) != 1)
-        return static_cast<size_t>(-1);
-    return static_cast<size_t>(task);
 }
 
 } // namespace
@@ -195,17 +129,6 @@ effectiveShardChunks(const StoppingRule& rule)
     // Round up to a staging-group multiple: worker-side groups then
     // coincide exactly with a single-process run's wave partition.
     return ((chunks + staging - 1) / staging) * staging;
-}
-
-size_t
-chunkShotsAt(const StoppingRule& rule, size_t index)
-{
-    const size_t chunkShots =
-        rule.chunkShots > 0 ? rule.chunkShots : 256;
-    const size_t planned = index * chunkShots;
-    if (planned >= rule.maxShots)
-        return 0;
-    return std::min(chunkShots, rule.maxShots - planned);
 }
 
 CampaignResult
@@ -230,6 +153,10 @@ runDistributedCampaign(const CampaignSpec& spec,
     maybeInstallSpecFaultPlan(spec);
 
     const auto t0 = std::chrono::steady_clock::now();
+    // Resolving first fails a bad spec before any spool state exists.
+    WaveExecutor ex(spec, resume, onTaskDone);
+    CampaignResult& result = ex.result;
+    const size_t n = ex.tasks.size();
     Spool spool(spec.spool);
     spool.setRetryPolicy(
         retryPolicyFrom(spec.retryAttempts, spec.retryBaseMs));
@@ -240,12 +167,6 @@ runDistributedCampaign(const CampaignSpec& spec,
     manifest.retryAttempts = spec.retryAttempts;
     manifest.retryBaseMs = spec.retryBaseMs;
     spool.initialize(manifest, specText);
-
-    const size_t n = spec.tasks.size();
-    CampaignResult result;
-    result.name = spec.name;
-    result.seed = spec.seed;
-    result.tasks.resize(n);
 
     // Become THE coordinator: create the lease, or wait out a live
     // one and steal it once stale. A fresh lease is heartbeated by
@@ -265,30 +186,12 @@ runDistributedCampaign(const CampaignSpec& spec,
             }
             continue; // another stealer won; wait on its lease
         }
-        sleepSeconds(std::min(0.05, spec.leaseSeconds / 8.0));
+        retrySleep(std::min(0.05, spec.leaseSeconds / 8.0));
     }
     faultMilestone("coord.lease.acquired");
 
     ArtifactCache cache;
     cache.attachStore(spool.cacheDir());
-
-    std::vector<ResolvedTask> resolved = resolveTaskIdentities(spec);
-    std::vector<CoordTask> states(n);
-    size_t remaining = 0;
-
-    for (size_t i = 0; i < n; ++i) {
-        CoordTask& st = states[i];
-        st.rt = std::move(resolved[i]);
-        TaskResult& r = result.tasks[i];
-        r = taskResultFor(st.rt, i);
-        if (applyCheckpoint(r, resume)) {
-            st.finished = true;
-            if (onTaskDone)
-                onTaskDone(r);
-            continue;
-        }
-        ++remaining;
-    }
 
     // A dead predecessor's merge journal (the checkpoint document of
     // the tasks it finalized): those tasks restore below without
@@ -313,17 +216,16 @@ runDistributedCampaign(const CampaignSpec& spec,
     // (callers fork worker processes around this function; a live
     // pool would make that unsafe). Every compile and DEM publishes
     // to the spool store before any shard exists, so workers always
-    // store-hit and the fleet builds each distinct artifact once.
+    // store-hit and the fleet builds each distinct artifact once. A
+    // task that fails to build finalizes with its error below.
     for (size_t i = 0; i < n; ++i) {
-        CoordTask& st = states[i];
-        if (st.finished)
+        if (ex.tasks[i].finished)
             continue;
         spool.heartbeatCoordinator();
         try {
-            buildTaskArtifacts(st.rt, cache);
-            st.sampler.emplace(st.rt.spec->stop, st.rt.taskSeed);
-        } catch (const std::exception& ex) {
-            result.tasks[i].error = ex.what();
+            buildTaskArtifacts(ex.tasks[i].rt, cache);
+        } catch (const std::exception& err) {
+            result.tasks[i].error = err.what();
         }
     }
     faultMilestone("coord.prebuilt");
@@ -331,48 +233,33 @@ runDistributedCampaign(const CampaignSpec& spec,
     // Rewrite the whole journal (tmp+rename, like shard records)
     // after every finalize: the journal is always a consistent
     // prefix of the finalized tasks, no matter where we die.
-    auto writeJournalNow = [&] {
+    ex.onFinalized = [&](size_t) {
         std::vector<TaskResult> finalized;
         for (size_t i = 0; i < n; ++i)
-            if (states[i].finished && !result.tasks[i].fromCheckpoint)
+            if (ex.tasks[i].finished && !result.tasks[i].fromCheckpoint)
                 finalized.push_back(result.tasks[i]);
         spool.writeJournal(formatCheckpoint(finalized));
-    };
-
-    auto finalize = [&](size_t i) {
-        CoordTask& st = states[i];
-        TaskResult& r = result.tasks[i];
-        st.finished = true;
-        finalizeTaskResult(r, st.rt,
-                           st.sampler ? &*st.sampler : nullptr,
-                           st.sampleSeconds);
-        if (onTaskDone)
-            onTaskDone(r);
-        writeJournalNow();
         faultMilestone("coord.task.finalized");
     };
 
-    // Publish one wave as contiguous chunk-range shards. Returns
-    // false when the sampler has nothing left to plan.
-    auto publishWave = [&](size_t i) -> bool {
-        CoordTask& st = states[i];
-        const std::vector<ChunkPlan> wave = st.sampler->nextWave();
-        if (wave.empty())
-            return false;
-        const size_t step =
-            effectiveShardChunks(st.rt.spec->stop);
-        for (size_t g = 0; g < wave.size(); g += step) {
-            const size_t count = std::min(step, wave.size() - g);
+    // Shard ids of each task's current wave still awaiting records,
+    // with their descriptors, so a shard whose record was quarantined
+    // can be republished even if every on-disk copy of its
+    // descriptor is gone.
+    std::vector<std::map<std::string, ShardDescriptor>> outstanding(n);
+    std::vector<size_t> nextShard(n, 0);
+
+    // Publish one wave as contiguous chunk-range shards.
+    ex.dispatch = [&](size_t i, const std::vector<ChunkPlan>& wave) {
+        const size_t step = effectiveShardChunks(ex.tasks[i].rt.spec->stop);
+        size_t shards = 0;
+        for (size_t g = 0; g < wave.size(); g += step, ++shards) {
             ShardDescriptor d;
             d.task = i;
-            d.shard = st.nextShard++;
+            d.shard = nextShard[i]++;
             d.firstChunk = wave[g].index;
-            d.numChunks = count;
-            d.chunkShots = st.rt.spec->stop.chunkShots > 0
-                ? st.rt.spec->stop.chunkShots
-                : 256;
-            d.contentHash = st.rt.contentHash;
-            d.taskSeed = st.rt.taskSeed;
+            d.numChunks = std::min(step, wave.size() - g);
+            d.contentHash = ex.tasks[i].rt.contentHash;
             const std::string id = shardId(d.task, d.shard);
             if (spool.publishShard(d)) {
                 ++result.spool.shardsPublished;
@@ -381,67 +268,44 @@ runDistributedCampaign(const CampaignSpec& spec,
                 // shard; the merge scan below absorbs it directly.
                 ++result.spool.recordsReused;
             }
-            st.outstanding.push_back(id);
-            st.inflight.emplace(id, d);
+            outstanding[i].emplace(id, d);
         }
         faultMilestone("coord.wave.published");
-        return true;
+        return shards;
+    };
+
+    // Fail a task outright: its lost shards never report, so nothing
+    // is left to drain.
+    auto abandon = [&](size_t i, const std::string& error) {
+        outstanding[i].clear();
+        ex.tasks[i].outstanding = 0;
+        ex.fail(i, error);
     };
 
     for (size_t i = 0; i < n; ++i) {
-        CoordTask& st = states[i];
-        if (st.finished)
+        if (ex.tasks[i].finished)
             continue;
-        TaskResult& r = result.tasks[i];
-        if (st.sampler && applyCheckpoint(r, &journal)) {
-            // A dead coordinator already finalized this task: the
-            // journal holds exactly what finalize() derived, and the
-            // built artifacts supply the compile metadata.
-            fillResolvedMetadata(r, st.rt);
-            r.fromCheckpoint = false;
-            st.finished = true;
+        if (ex.restore(i, journal))
             ++result.spool.journalRestores;
-            if (onTaskDone)
-                onTaskDone(r);
-            --remaining;
-            continue;
-        }
-        if (!st.sampler || !publishWave(i)) {
-            finalize(i);
-            --remaining;
-        }
+        else
+            ex.advance(i);
     }
-
-    // Finalize a task as poisoned: its shard keeps killing whoever
-    // claims it, so surface an error instead of livelocking the
-    // fleet re-publishing it forever.
-    auto poisonTask = [&](const std::string& id, size_t reclaims) {
-        const size_t i = taskIndexOfShardId(id);
-        if (i >= n || states[i].finished)
-            return;
-        TaskResult& r = result.tasks[i];
-        r.error = "poison shard " + id + ": claim reclaimed " +
-            std::to_string(reclaims) +
-            " times; shard quarantined";
-        finalize(i);
-        --remaining;
-    };
 
     std::unique_ptr<ThreadPool> selfPool;
 
-    while (remaining > 0) {
+    while (ex.remaining > 0) {
         spool.heartbeatCoordinator();
         bool progress = false;
+        // Merge every record that has landed, in shard-id order.
         for (size_t i = 0; i < n; ++i) {
-            CoordTask& st = states[i];
-            if (st.finished)
-                continue;
-            for (size_t k = 0; k < st.outstanding.size();) {
-                const std::string id = st.outstanding[k];
+            auto& pending = outstanding[i];
+            for (auto it = pending.begin(); it != pending.end();) {
+                const std::string id = it->first;
                 if (!spool.hasRecord(id)) {
-                    ++k;
+                    ++it;
                     continue;
                 }
+                progress = true;
                 ShardRecord rec;
                 try {
                     rec = spool.readRecord(id);
@@ -449,43 +313,29 @@ runDistributedCampaign(const CampaignSpec& spec,
                     // Torn or rotted record: quarantine it and make
                     // sure the shard is executable again — revive
                     // its done/ tombstone, or republish from our
-                    // in-flight descriptor if every on-disk copy is
-                    // gone. (If the claim is still in claimed/, the
-                    // lease sweep below recycles it.)
+                    // copy of its descriptor if every on-disk copy
+                    // is gone. (If the claim is still in claimed/,
+                    // the lease sweep below recycles it.)
                     spool.quarantineRecord(id);
                     ++result.spool.recordsQuarantined;
-                    if (!spool.reviveShard(id)) {
-                        const auto itD = st.inflight.find(id);
-                        if (itD != st.inflight.end() &&
-                            spool.publishShard(itD->second))
-                            ++result.spool.shardsPublished;
-                    }
-                    progress = true;
-                    ++k;
+                    if (!spool.reviveShard(id) &&
+                        spool.publishShard(it->second))
+                        ++result.spool.shardsPublished;
+                    ++it;
                     continue;
                 }
-                if (rec.contentHash != st.rt.contentHash)
+                if (rec.contentHash != ex.tasks[i].rt.contentHash)
                     throw std::runtime_error(
                         "spool record " + id +
                         " does not match this campaign's task "
                         "(content hash mismatch)");
-                st.sampler->absorb(
-                    ChunkOutcome{rec.shots, rec.failures});
-                st.sampleSeconds += rec.seconds;
-                result.tasks[i].decoder.merge(rec.decoder);
+                it = pending.erase(it);
                 ++result.spool.shardsMerged;
-                st.inflight.erase(id);
-                st.outstanding.erase(st.outstanding.begin() +
-                                     static_cast<std::ptrdiff_t>(k));
-                progress = true;
                 faultMilestone("coord.record.merged");
-            }
-            if (st.outstanding.empty()) {
-                if (st.sampler->done() || !publishWave(i)) {
-                    finalize(i);
-                    --remaining;
-                }
-                progress = true;
+                // The wave's last record plans the next wave, whose
+                // fresh shard ids sort after every merged one.
+                ex.absorb(i, {{rec.shots, rec.failures}, rec.seconds,
+                              rec.decoder, {}});
             }
         }
 
@@ -495,7 +345,8 @@ runDistributedCampaign(const CampaignSpec& spec,
         // racing its reclaimed twin is harmless. The per-shard
         // reclaim counter persists in the spool, so a shard that
         // keeps killing workers is caught even across coordinator
-        // failovers.
+        // failovers; its task is finalized with an error instead of
+        // livelocking the fleet re-publishing it forever.
         for (const std::string& id : spool.claimedShards()) {
             const double age = spool.claimAge(id);
             if (age <= spec.leaseSeconds)
@@ -504,7 +355,12 @@ runDistributedCampaign(const CampaignSpec& spec,
             if (count > spec.maxClaimReclaims) {
                 if (spool.quarantineShard(id)) {
                     ++result.spool.shardsPoisoned;
-                    poisonTask(id, count - 1);
+                    for (size_t i = 0; i < n; ++i)
+                        if (outstanding[i].count(id) != 0)
+                            abandon(i, "poison shard " + id +
+                                           ": claim reclaimed " +
+                                           std::to_string(count - 1) +
+                                           " times; shard quarantined");
                     progress = true;
                 }
             } else if (spool.reclaimShard(id)) {
@@ -525,29 +381,28 @@ runDistributedCampaign(const CampaignSpec& spec,
         // promotion, single-process operation) the coordinator
         // claims an open shard itself whenever a pass made no
         // progress, on a lazily created local pool.
-        if (options.selfExecute && !progress && remaining > 0) {
+        if (options.selfExecute && !progress && ex.remaining > 0) {
             for (const std::string& id : spool.openShards()) {
                 ShardDescriptor d;
                 if (!spool.claimShard(id, d))
                     continue;
-                if (d.task >= n || states[d.task].finished) {
+                if (d.task >= n || ex.tasks[d.task].finished) {
                     spool.retireClaim(id);
                     continue;
                 }
                 if (!selfPool)
                     selfPool =
                         std::make_unique<ThreadPool>(options.threads);
+                WaveExecutor::Task& st = ex.tasks[d.task];
+                if (!st.runner)
+                    st.runner = std::make_unique<ChunkGroupRunner>(
+                        st.rt, selfPool->size());
                 try {
-                    executeShardChunks(
-                        spool, id, d, states[d.task].rt, *selfPool,
-                        spec.leaseSeconds,
-                        [&] { spool.heartbeatCoordinator(); });
-                } catch (const std::exception& ex) {
-                    TaskResult& r = result.tasks[d.task];
-                    if (r.error.empty())
-                        r.error = ex.what();
-                    finalize(d.task);
-                    --remaining;
+                    executeShard(spool, id, d, st.rt, *st.runner,
+                                 *selfPool, spec.leaseSeconds,
+                                 [&] { spool.heartbeatCoordinator(); });
+                } catch (const std::exception& err) {
+                    abandon(d.task, err.what());
                 }
                 progress = true;
                 break; // merge the fresh record before claiming more
@@ -555,7 +410,7 @@ runDistributedCampaign(const CampaignSpec& spec,
         }
 
         if (!progress)
-            sleepSeconds(0.02);
+            retrySleep(0.02);
     }
 
     spool.markDone();
@@ -564,31 +419,25 @@ runDistributedCampaign(const CampaignSpec& spec,
     // degraded (transient retries) => degraded, a live-looking file
     // that stopped updating => lost.
     for (const std::string& name : spool.list("workers")) {
+        std::string state;
         try {
-            const std::string text = spool.readFile("workers/" + name);
-            std::istringstream in(text);
-            std::string line;
-            std::string state = "healthy";
-            if (std::getline(in, line) && line == kHealthMagic) {
-                std::string key, value;
-                while (in >> key >> value)
-                    if (key == "state")
-                        state = value;
-            }
-            if (state == "done") {
-                ++result.spool.workersHealthy;
-            } else if (state == "degraded") {
-                ++result.spool.workersDegraded;
-            } else {
-                const double age = spool.workerHealthAge(name);
-                if (age > spec.leaseSeconds)
-                    ++result.spool.workersLost;
-                else
-                    ++result.spool.workersHealthy;
-            }
+            state = KvReader(spool.readFile("workers/" + name),
+                             kHealthMagic, "worker health")
+                        .text("state");
+        } catch (const CorruptSpoolError&) {
+            // A damaged or foreign file: judge the worker by its age.
         } catch (const std::exception&) {
             ++result.spool.workersLost;
+            continue;
         }
+        if (state == "done")
+            ++result.spool.workersHealthy;
+        else if (state == "degraded")
+            ++result.spool.workersDegraded;
+        else if (spool.workerHealthAge(name) > spec.leaseSeconds)
+            ++result.spool.workersLost;
+        else
+            ++result.spool.workersHealthy;
     }
 
     result.cache = cache.stats();
@@ -609,7 +458,7 @@ runDistributedCampaign(const CampaignSpec& spec,
     spool.writeFile("result.json", campaignResultToJson(result),
                     "spool.result.commit");
     spool.releaseCoordinatorLease(owner);
-    return result;
+    return std::move(result);
 }
 
 std::string
@@ -640,7 +489,7 @@ runSpoolWorker(const WorkerOptions& opts)
 
     Spool spool(opts.spool);
     while (!spool.initialized())
-        sleepSeconds(opts.pollSeconds);
+        retrySleep(opts.pollSeconds);
 
     const SpoolManifest manifest = spool.readManifest();
     spool.setRetryPolicy(retryPolicyFrom(manifest.retryAttempts,
@@ -648,14 +497,17 @@ runSpoolWorker(const WorkerOptions& opts)
     const CampaignSpec spec = parseCampaignSpec(spool.readSpecText());
     maybeInstallSpecFaultPlan(spec);
     std::vector<ResolvedTask> resolved = resolveTaskIdentities(spec);
-    std::vector<bool> built(resolved.size(), false);
+    // The runner of the task last claimed: its decoders carry over to
+    // the task's next shard, and only one task's decoders are alive
+    // at a time, as many as a shard needs.
+    std::unique_ptr<ChunkGroupRunner> runner;
+    size_t runnerTask = resolved.size();
 
     ArtifactCache cache;
     cache.attachStore(spool.cacheDir());
     ThreadPool pool(opts.threads);
 
     WorkerReport report;
-    bool dying = false;
 
     const std::string workerId = !opts.workerId.empty()
         ? opts.workerId
@@ -663,13 +515,12 @@ runSpoolWorker(const WorkerOptions& opts)
     const std::string healthFile = "workers/" + workerId;
 
     auto writeHealth = [&](const char* state) {
-        std::ostringstream out;
-        out << kHealthMagic << "\n"
-            << "state " << state << "\n"
-            << "retries " << spool.transientRetries() << "\n"
-            << "shards " << report.shardsRun << "\n";
+        std::string out = std::string(kHealthMagic) + "\n";
+        putKv(out, "state", std::string(state));
+        putKv(out, "retries", spool.transientRetries());
+        putKv(out, "shards", report.shardsRun);
         try {
-            spool.writeFile(healthFile, out.str(),
+            spool.writeFile(healthFile, withCrcLine(std::move(out)),
                             "spool.health.commit");
         } catch (const std::exception&) {
             // Health is advisory; never kill a worker over it.
@@ -687,32 +538,30 @@ runSpoolWorker(const WorkerOptions& opts)
     };
     double leaseAbsentSince = -1.0;
 
-    while (!spool.done() && !dying) {
+    while (!spool.done()) {
         bool claimed = false;
         for (const std::string& id : spool.openShards()) {
             ShardDescriptor d;
             if (!spool.claimShard(id, d))
                 continue;
             claimed = true;
-            if (opts.dieAfterClaim) {
-                // Leave the claim dangling, as a killed worker would.
-                dying = true;
-                break;
-            }
             if (d.task >= resolved.size() ||
                 resolved[d.task].contentHash != d.contentHash)
                 throw std::runtime_error(
                     "shard " + id +
                     " does not match the spool's campaign spec "
                     "(content hash mismatch)");
-            if (!built[d.task]) {
-                buildTaskArtifacts(resolved[d.task], cache);
-                built[d.task] = true;
+            if (runnerTask != d.task) {
+                runner.reset();
+                if (!resolved[d.task].dem)
+                    buildTaskArtifacts(resolved[d.task], cache);
+                runner = std::make_unique<ChunkGroupRunner>(
+                    resolved[d.task], pool.size());
+                runnerTask = d.task;
             }
             const ShardRecord rec =
-                executeShardChunks(spool, id, d, resolved[d.task],
-                                   pool, manifest.leaseSeconds,
-                                   nullptr);
+                executeShard(spool, id, d, resolved[d.task], *runner,
+                             pool, manifest.leaseSeconds, nullptr);
             ++report.shardsRun;
             report.shots += rec.shots;
             report.failures += rec.failures;
@@ -725,9 +574,7 @@ runSpoolWorker(const WorkerOptions& opts)
         if (!claimed) {
             // Keep the health file's mtime fresh while idle, so the
             // coordinator can tell idle from dead.
-            ::utimensat(AT_FDCWD,
-                        (opts.spool + "/" + healthFile).c_str(),
-                        nullptr, 0);
+            spool.touch(healthFile);
 
             // Promotion: nothing to claim, campaign unfinished, and
             // the coordinator has looked dead for a full lease
@@ -759,19 +606,15 @@ runSpoolWorker(const WorkerOptions& opts)
                                        nullptr, copts);
                 continue; // the loop exits on the DONE marker
             }
-            sleepSeconds(opts.pollSeconds);
+            retrySleep(opts.pollSeconds);
         }
     }
 
     report.cache = cache.stats();
     report.transientRetries = spool.transientRetries();
-    if (!opts.dieAfterClaim) {
-        writeHealth(report.transientRetries > 0 ? "degraded"
-                                                : "done");
-        spool.writeFile("stats-" + workerId + ".txt",
-                        formatWorkerStats(report),
-                        "spool.stats.commit");
-    }
+    writeHealth(report.transientRetries > 0 ? "degraded" : "done");
+    spool.writeFile("stats-" + workerId + ".txt",
+                    formatWorkerStats(report), "spool.stats.commit");
     return report;
 }
 

@@ -1,43 +1,28 @@
 /**
  * @file
- * Distributed campaign execution: coordinator and worker loops over a
- * filesystem spool.
+ * Distributed campaigns: the spool transport of the one campaign
+ * executor (executor.h), and the worker loop on the far side of the
+ * spool.
  *
- * The coordinator owns the campaign: it resolves every task, builds
- * (and publishes to the spool's shared artifact store) every compile
- * result and DEM exactly once, then drives each task's AdaptiveSampler
- * wave by wave — but instead of decoding locally it slices every wave
- * into contiguous chunk-range shards, publishes them through the
- * spool, and merges the result records workers post back. Stopping
- * decisions happen at the same wave boundaries on the same cumulative
- * counts as an in-process run, and chunk RNG streams depend only on
- * (task seed, chunk index), so merged results are bit-identical to a
- * single-process run at any worker count — including zero external
- * workers plus N forked local ones.
+ * runDistributedCampaign drives the same WaveExecutor as the
+ * in-process engine, so waves, stopping decisions and merges are the
+ * same; only the transport differs. Each wave is cut into
+ * staging-aligned chunk-range shards published through the spool
+ * (spool.h), and each record a worker posts back is absorbed like an
+ * in-memory group result. Chunk RNG streams depend only on (task
+ * seed, chunk index), so merged results are bit-identical to an
+ * in-process run at any worker count. The coordinator is
+ * thread-free: it prebuilds every artifact in sequence into the
+ * spool's shared store, so callers may fork workers around it.
  *
- * Workers are stateless: they re-parse the spool's spec text,
- * re-resolve task identities (verifying content hashes against each
- * claimed shard), pull artifacts from the shared store (the
- * coordinator pre-published them, so workers never compile), execute
- * the shard's chunks through the same staged decode pipeline on a
- * local thread pool, and post a record. A worker that dies mid-shard
- * simply stops heartbeating; the coordinator reclaims the shard after
- * the lease expires and another worker re-executes it.
- *
- * Failover: the coordinator role itself is leased (spool
- * coord.lease) and journaled (spool journal.txt: the checkpoint
- * document of the finalized tasks, rewritten atomically after every
- * task finalize). If the coordinator dies at
- * ANY point — before the spool exists, mid-prebuild, mid-merge,
- * between the last record and DONE — any process can take over:
- * `campaign_runner --coordinator-takeover`, a fresh coordinator run
- * of the same spec, or an idle worker with `promote` set. The
- * takeover waits out the stale lease, steals it (a rename: exactly
- * one winner), restores journaled tasks without re-merging, republishes
- * missing shards (publish skips anything open/claimed/done/recorded),
- * re-merges surviving records, and finalizes. Every step is
- * idempotent, so the merged result is bit-identical to an
- * uninterrupted run.
+ * Workers are stateless: they re-parse the spool's spec text, check
+ * each claimed shard's content hash against the task they
+ * re-resolve, load artifacts from the store, and run the shard's
+ * staging groups through the same ChunkGroupRunner the in-process
+ * engine uses. A worker that dies mid-shard stops heartbeating, and
+ * the coordinator reclaims the shard once its lease expires. The
+ * coordinator role is leased and journaled too, so any process can
+ * take a dead coordinator over (spool.h).
  */
 
 #ifndef CYCLONE_CAMPAIGN_COORDINATOR_H
@@ -45,8 +30,8 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
+#include "campaign/adaptive_sampler.h"
 #include "campaign/campaign.h"
 #include "campaign/campaign_spec.h"
 #include "campaign/spool.h"
@@ -60,13 +45,6 @@ namespace cyclone {
  * quarter wave when 0 (auto).
  */
 size_t effectiveShardChunks(const StoppingRule& rule);
-
-/**
- * Shots of chunk `index` of a task under `rule` — the same value
- * AdaptiveSampler::nextWave plans, recomputed standalone so workers
- * can rebuild exact ChunkPlans from a shard's chunk range.
- */
-size_t chunkShotsAt(const StoppingRule& rule, size_t index);
 
 /** Coordinator-role configuration. */
 struct CoordinatorOptions
@@ -131,12 +109,6 @@ struct WorkerOptions
      * campaign with selfExecute on.
      */
     bool promote = false;
-    /**
-     * Test hook: exit the loop immediately after the first successful
-     * claim without completing the shard (simulates a worker killed
-     * mid-shard, for lease-reclaim tests).
-     */
-    bool dieAfterClaim = false;
 };
 
 /** What one worker loop did (also written to the spool as

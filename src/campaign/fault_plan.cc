@@ -1,7 +1,6 @@
 #include "campaign/fault_plan.h"
 
 #include <atomic>
-#include <cctype>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -92,17 +91,11 @@ FaultPlan::parse(const std::string& text)
             end = text.size();
         std::string item = text.substr(pos, end - pos);
         pos = end + 1;
-        // Trim surrounding whitespace.
-        while (!item.empty() && std::isspace(
-                                    static_cast<unsigned char>(
-                                        item.front())))
-            item.erase(item.begin());
-        while (!item.empty() && std::isspace(
-                                    static_cast<unsigned char>(
-                                        item.back())))
-            item.pop_back();
-        if (item.empty())
-            continue;
+        const size_t first = item.find_first_not_of(" \t\r\n");
+        if (first == std::string::npos)
+            continue; // empty rule
+        item = item.substr(first,
+                           item.find_last_not_of(" \t\r\n") - first + 1);
         if (item.rfind("seed=", 0) == 0) {
             plan.seed = parseCount(item.substr(5), "seed");
             continue;

@@ -42,25 +42,6 @@ checkCrcLine(const std::string& text, const char* what)
     return payload;
 }
 
-std::vector<std::string>
-splitChecked(const std::string& text, const char* magic,
-             const char* what)
-{
-    std::vector<std::string> lines;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        lines.push_back(line);
-    }
-    if (lines.empty() || lines.front() != magic)
-        throw CorruptSpoolError(std::string("not a ") + what +
-                                " file (bad magic line)");
-    lines.erase(lines.begin());
-    return lines;
-}
-
 std::string
 formatHex(uint64_t v)
 {
@@ -109,7 +90,14 @@ KvReader::KvReader(const std::string& text, const char* magic,
         throw CorruptSpoolError(std::string(what) + ": expected '" +
                                 magic + "', got '" +
                                 first.substr(0, 64) + "'");
-    lines_ = splitChecked(checkCrcLine(text, what), magic, what);
+    std::istringstream in(checkCrcLine(text, what));
+    std::string line;
+    std::getline(in, line); // the magic line, checked above
+    while (std::getline(in, line)) {
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
+        lines_.push_back(line);
+    }
 }
 
 std::string

@@ -51,12 +51,6 @@ std::string withCrcLine(std::string text);
  */
 std::string checkCrcLine(const std::string& text, const char* what);
 
-/** Split `text` into lines; the first must equal `magic` and is
- *  dropped. Throws otherwise. */
-std::vector<std::string> splitChecked(const std::string& text,
-                                      const char* magic,
-                                      const char* what);
-
 /** "%016llx" of a 64-bit word. */
 std::string formatHex(uint64_t v);
 

@@ -21,9 +21,9 @@ namespace cyclone {
 
 namespace {
 
-constexpr const char* kDescriptorMagic = "cyclone-shard v2";
+constexpr const char* kDescriptorMagic = "cyclone-shard v3";
 constexpr const char* kRecordMagic = "cyclone-shard-result v4";
-constexpr const char* kManifestMagic = "cyclone-spool v1";
+constexpr const char* kManifestMagic = "cyclone-spool v2";
 constexpr const char* kLeaseFile = "coord.lease";
 constexpr const char* kJournalFile = "journal.txt";
 
@@ -70,10 +70,9 @@ listDir(const std::string& path)
         const std::string name = entry->d_name;
         if (name == "." || name == "..")
             continue;
-        // Skip in-flight tmp files from concurrent atomic writers.
-        // spoolWriteAtomic dot-prefixes its temp names, but match
-        // anywhere so a stray suffix-style tmp can never be claimed
-        // and executed as if it were a published shard.
+        // Skip in-flight (dot-prefixed) tmp files of atomic writers,
+        // and any stray suffix-style tmp, so neither can ever be
+        // claimed and executed as if it were a published shard.
         if (name.find(".tmp-") != std::string::npos ||
             name.rfind(".", 0) == 0)
             continue;
@@ -91,17 +90,6 @@ fileExists(const std::string& path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
-std::vector<std::string>
-tokenize(const std::string& line)
-{
-    std::vector<std::string> tokens;
-    std::istringstream in(line);
-    std::string tok;
-    while (in >> tok)
-        tokens.push_back(tok);
-    return tokens;
-}
-
 double
 monotonicSeconds()
 {
@@ -112,6 +100,19 @@ monotonicSeconds()
 }
 
 } // namespace
+
+bool
+moveToQuarantine(const std::string& dir, const std::string& relative)
+{
+    // Best effort: if the directory cannot be made, the rename fails.
+    ::mkdir((dir + "/quarantine").c_str(), 0777);
+    const size_t slash = relative.find_last_of('/');
+    const std::string base = slash == std::string::npos
+        ? relative
+        : relative.substr(slash + 1);
+    return std::rename((dir + "/" + relative).c_str(),
+                       (dir + "/quarantine/" + base).c_str()) == 0;
+}
 
 std::string
 shardId(size_t task, size_t shard)
@@ -124,33 +125,26 @@ shardId(size_t task, size_t shard)
 std::string
 formatShardDescriptor(const ShardDescriptor& d)
 {
-    std::ostringstream out;
-    out << kDescriptorMagic << "\n"
-        << "shard " << d.task << " " << d.shard << " " << d.firstChunk
-        << " " << d.numChunks << " " << d.chunkShots << " "
-        << formatHex(d.contentHash) << " " << formatHex(d.taskSeed)
-        << "\n";
-    return withCrcLine(out.str());
+    std::string out = std::string(kDescriptorMagic) + "\n";
+    putKv(out, "task", d.task);
+    putKv(out, "shard", d.shard);
+    putKv(out, "first_chunk", d.firstChunk);
+    putKv(out, "num_chunks", d.numChunks);
+    putKv(out, "content_hash", formatHex(d.contentHash));
+    return withCrcLine(std::move(out));
 }
 
 ShardDescriptor
 parseShardDescriptor(const std::string& text)
 {
-    const char* what = "shard descriptor";
-    KvReader in(text, kDescriptorMagic, what);
-    const auto tok = tokenize(in.text("shard"));
-    in.finish();
-    if (tok.size() != 7)
-        throw CorruptSpoolError("shard descriptor: expected 7 fields, got " +
-                                std::to_string(tok.size()));
+    KvReader in(text, kDescriptorMagic, "shard descriptor");
     ShardDescriptor d;
-    d.task = parseNumber<size_t>(tok[0], what);
-    d.shard = parseNumber<size_t>(tok[1], what);
-    d.firstChunk = parseNumber<size_t>(tok[2], what);
-    d.numChunks = parseNumber<size_t>(tok[3], what);
-    d.chunkShots = parseNumber<size_t>(tok[4], what);
-    d.contentHash = parseNumber<uint64_t>(tok[5], what, 16);
-    d.taskSeed = parseNumber<uint64_t>(tok[6], what, 16);
+    d.task = in.number<size_t>("task");
+    d.shard = in.number<size_t>("shard");
+    d.firstChunk = in.number<size_t>("first_chunk");
+    d.numChunks = in.number<size_t>("num_chunks");
+    d.contentHash = in.number<uint64_t>("content_hash", 16);
+    in.finish();
     return d;
 }
 
@@ -189,43 +183,28 @@ parseShardRecord(const std::string& text)
 std::string
 formatManifest(const SpoolManifest& m)
 {
-    std::ostringstream out;
-    out << kManifestMagic << "\n"
-        << "name " << m.name << "\n"
-        << "seed " << formatHex(m.seed) << "\n"
-        << "spec " << formatHex(m.specHash) << "\n"
-        << "lease " << formatReal(m.leaseSeconds) << "\n"
-        << "retry_attempts " << m.retryAttempts << "\n"
-        << "retry_base_ms " << formatReal(m.retryBaseMs) << "\n";
-    return out.str();
+    std::string out = std::string(kManifestMagic) + "\n";
+    putKv(out, "name", m.name);
+    putKv(out, "seed", formatHex(m.seed));
+    putKv(out, "spec", formatHex(m.specHash));
+    putKv(out, "lease", m.leaseSeconds);
+    putKv(out, "retry_attempts", m.retryAttempts);
+    putKv(out, "retry_base_ms", m.retryBaseMs);
+    return withCrcLine(std::move(out));
 }
 
 SpoolManifest
 parseManifest(const std::string& text)
 {
-    const auto lines =
-        splitChecked(text, kManifestMagic, "spool manifest");
-    const char* what = "spool manifest";
+    KvReader in(text, kManifestMagic, "spool manifest");
     SpoolManifest m;
-    for (const std::string& line : lines) {
-        const auto tok = tokenize(line);
-        if (tok.empty())
-            continue;
-        if (tok[0] == "name") {
-            const size_t at = line.find(' ');
-            m.name = at == std::string::npos ? "" : line.substr(at + 1);
-        } else if (tok[0] == "seed" && tok.size() == 2) {
-            m.seed = parseNumber<uint64_t>(tok[1], what, 16);
-        } else if (tok[0] == "spec" && tok.size() == 2) {
-            m.specHash = parseNumber<uint64_t>(tok[1], what, 16);
-        } else if (tok[0] == "lease" && tok.size() == 2) {
-            m.leaseSeconds = parseNumber<double>(tok[1], what);
-        } else if (tok[0] == "retry_attempts" && tok.size() == 2) {
-            m.retryAttempts = parseNumber<size_t>(tok[1], what);
-        } else if (tok[0] == "retry_base_ms" && tok.size() == 2) {
-            m.retryBaseMs = parseNumber<double>(tok[1], what);
-        }
-    }
+    m.name = in.text("name");
+    m.seed = in.number<uint64_t>("seed", 16);
+    m.specHash = in.number<uint64_t>("spec", 16);
+    m.leaseSeconds = in.number<double>("lease");
+    m.retryAttempts = in.number<size_t>("retry_attempts");
+    m.retryBaseMs = in.number<double>("retry_base_ms");
+    in.finish();
     return m;
 }
 
@@ -233,9 +212,6 @@ void
 spoolWriteAtomic(const std::string& path, const std::string& text,
                  const char* point)
 {
-    if (faultPoint("spool.io.write").transient)
-        throw TransientIoError("injected transient write fault: " +
-                               path);
     FaultDecision f;
     if (point != nullptr) {
         f = faultPoint(point);
@@ -310,14 +286,9 @@ Spool::initialize(const SpoolManifest& manifest,
                   const std::string& specText)
 {
     makeDir(dir_);
-    makeDir(dir_ + "/open");
-    makeDir(dir_ + "/claimed");
-    makeDir(dir_ + "/done");
-    makeDir(dir_ + "/results");
-    makeDir(dir_ + "/reclaims");
-    makeDir(dir_ + "/quarantine");
-    makeDir(dir_ + "/workers");
-    makeDir(cacheDir());
+    for (const char* sub : {"open", "claimed", "done", "results",
+                            "reclaims", "quarantine", "workers", "cache"})
+        makeDir(dir_ + "/" + sub);
     SpoolManifest m = manifest;
     m.specHash = HashStream().absorb(specText).digest();
     if (initialized()) {
@@ -394,6 +365,9 @@ Spool::claimShard(const std::string& id, ShardDescriptor& out)
         quarantineShard(id);
         return false;
     }
+    // A crash here leaves a live-looking claim nobody will finish:
+    // the lease sweep must reclaim it.
+    faultMilestone("spool.claim.commit");
     return true;
 }
 
@@ -410,14 +384,18 @@ Spool::claimedShards() const
 }
 
 void
+Spool::touch(const std::string& relative) const
+{
+    // Refresh both timestamps to "now"; cheap and race-free (a file
+    // that moved meanwhile just makes this a no-op ENOENT).
+    ::utimensat(AT_FDCWD, (dir_ + "/" + relative).c_str(), nullptr, 0);
+}
+
+void
 Spool::heartbeat(const std::string& id) const
 {
-    if (faultPoint("spool.heartbeat").freeze)
-        return;
-    // Refresh both timestamps to "now"; cheap and race-free (a claim
-    // that was reclaimed meanwhile just makes this a no-op ENOENT).
-    ::utimensat(AT_FDCWD, (dir_ + "/claimed/" + id).c_str(), nullptr,
-                0);
+    if (!faultPoint("spool.heartbeat").freeze)
+        touch("claimed/" + id);
 }
 
 double
@@ -465,11 +443,9 @@ Spool::reclaimShard(const std::string& id)
 size_t
 Spool::bumpReclaimCount(const std::string& id)
 {
-    makeDir(dir_ + "/reclaims");
-    const std::string path = dir_ + "/reclaims/" + id;
-    size_t count = reclaimCount(id) + 1;
+    const size_t count = reclaimCount(id) + 1;
     try {
-        spoolWriteAtomic(path, std::to_string(count) + "\n");
+        writeFile("reclaims/" + id, std::to_string(count) + "\n");
     } catch (const std::exception&) {
         // Best effort: a lost counter update only delays poison
         // detection by one reclaim.
@@ -480,26 +456,18 @@ Spool::bumpReclaimCount(const std::string& id)
 size_t
 Spool::reclaimCount(const std::string& id) const
 {
-    const std::string path = dir_ + "/reclaims/" + id;
-    if (!fileExists(path))
-        return 0;
     try {
         return static_cast<size_t>(
-            std::stoull(spoolReadFile(path)));
+            std::stoull(spoolReadFile(dir_ + "/reclaims/" + id)));
     } catch (const std::exception&) {
-        return 0;
+        return 0; // never reclaimed (or an unreadable counter)
     }
 }
 
 bool
 Spool::quarantineShard(const std::string& id)
 {
-    makeDir(dir_ + "/quarantine");
-    const std::string q = dir_ + "/quarantine/" + id;
-    if (std::rename((dir_ + "/claimed/" + id).c_str(), q.c_str()) == 0)
-        return true;
-    return std::rename((dir_ + "/open/" + id).c_str(), q.c_str()) ==
-           0;
+    return quarantineFile("claimed/" + id) || quarantineFile("open/" + id);
 }
 
 bool
@@ -511,13 +479,7 @@ Spool::quarantineRecord(const std::string& id)
 bool
 Spool::quarantineFile(const std::string& relative)
 {
-    makeDir(dir_ + "/quarantine");
-    const size_t slash = relative.find_last_of('/');
-    const std::string base = slash == std::string::npos
-        ? relative
-        : relative.substr(slash + 1);
-    return std::rename((dir_ + "/" + relative).c_str(),
-                       (dir_ + "/quarantine/" + base).c_str()) == 0;
+    return moveToQuarantine(dir_, relative);
 }
 
 std::vector<std::string>
@@ -600,10 +562,8 @@ Spool::stealCoordinatorLease(const std::string& owner)
 void
 Spool::heartbeatCoordinator() const
 {
-    if (faultPoint("coord.lease.heartbeat").freeze)
-        return;
-    ::utimensat(AT_FDCWD, (dir_ + "/" + kLeaseFile).c_str(), nullptr,
-                0);
+    if (!faultPoint("coord.lease.heartbeat").freeze)
+        touch(kLeaseFile);
 }
 
 double
@@ -652,8 +612,12 @@ Spool::writeFile(const std::string& relative, const std::string& text,
                  const char* point)
 {
     const std::string path = dir_ + "/" + relative;
-    withRetry("write", path,
-              [&] { spoolWriteAtomic(path, text, point); });
+    withRetry("write", path, [&] {
+        if (faultPoint("spool.io.write").transient)
+            throw TransientIoError("injected transient write fault: " +
+                                   path);
+        spoolWriteAtomic(path, text, point);
+    });
 }
 
 std::string

@@ -48,8 +48,9 @@
  * shards, and journaled tasks restore without re-merging — the
  * takeover run produces bit-identical results.
  *
- * Self-healing: shard records, descriptors and the journal carry a
- * trailing CRC-32 line. A file that fails its checksum (torn write,
+ * Self-healing: every spool document (manifest, descriptors, records,
+ * journal, worker health) carries a trailing CRC-32 line. A shard
+ * record, descriptor or journal that fails its checksum (torn write,
  * bit rot) is moved to `quarantine/` and its shard re-published
  * instead of poisoning the merge. A shard whose claim is reclaimed
  * `max_claim_reclaims` times (it keeps killing workers) is itself
@@ -95,12 +96,10 @@ struct ShardDescriptor
     size_t firstChunk = 0;
     /** Number of chunks in the range. */
     size_t numChunks = 0;
-    /** Shots per chunk (copied so workers need no spec lookup). */
-    size_t chunkShots = 0;
-    /** Task content hash: workers verify their re-resolved spec. */
+    /** Task content hash, checked against the task a worker
+     *  re-resolves (whose rule and seed give each chunk's shots and
+     *  RNG seed). */
     uint64_t contentHash = 0;
-    /** Effective task seed (chunkSeed base). */
-    uint64_t taskSeed = 0;
 };
 
 /** Result record of one executed shard. */
@@ -133,10 +132,11 @@ struct SpoolManifest
 /** Stable shard id, e.g. "t0003-s00017". */
 std::string shardId(size_t task, size_t shard);
 
-/** Text round-trip of a shard descriptor (one record per file,
+/** Text round-trip of a shard descriptor (record_codec.h document,
  *  CRC-protected). */
 std::string formatShardDescriptor(const ShardDescriptor& d);
-/** Throws CorruptSpoolError on a bad checksum or malformed fields. */
+/** Throws CorruptSpoolError on a bad checksum, malformed fields or an
+ *  older descriptor version. */
 ShardDescriptor parseShardDescriptor(const std::string& text);
 
 /** Text round-trip of a shard record (record_codec.h: one key per
@@ -146,33 +146,28 @@ std::string formatShardRecord(const ShardRecord& r);
  *  an older record version. */
 ShardRecord parseShardRecord(const std::string& text);
 
-/** Text round-trip of the spool manifest. */
+/** Text round-trip of the spool manifest (record_codec.h document,
+ *  CRC-protected). */
 std::string formatManifest(const SpoolManifest& m);
-/** Throws std::runtime_error on malformed input. */
+/** Throws CorruptSpoolError on malformed input or an older version. */
 SpoolManifest parseManifest(const std::string& text);
 
 /**
- * Handle to one spool directory. Construction only records the path;
- * initialize() (coordinator) or open() semantics are provided by the
- * member functions below. All filesystem operations are stateless
- * wrappers — any number of Spool objects in any number of processes
- * may point at one directory — but each handle additionally keeps a
- * local monotonic observation history for lease ages, so age queries
- * should go through one handle per process.
+ * Handle to one spool directory; construction only records the path.
+ * All filesystem operations are stateless wrappers — any number of
+ * Spool objects in any number of processes may point at one
+ * directory — but each handle keeps a local monotonic observation
+ * history for lease ages, so age queries should go through one
+ * handle per process.
  */
 class Spool
 {
   public:
     explicit Spool(std::string dir);
 
-    const std::string& dir() const { return dir_; }
-
     /** Replace the transient-I/O retry policy (default: 4 attempts,
      *  5 ms base delay). */
     void setRetryPolicy(const RetryPolicy& policy) { retry_ = policy; }
-
-    /** The active retry policy. */
-    const RetryPolicy& retryPolicy() const { return retry_; }
 
     /** Transient I/O failures retried by this handle so far. */
     size_t transientRetries() const
@@ -222,6 +217,9 @@ class Spool
 
     /** Ids currently in claimed/, in lexicographic order. */
     std::vector<std::string> claimedShards() const;
+
+    /** Touch a spool-relative file's mtime (a liveness heartbeat). */
+    void touch(const std::string& relative) const;
 
     /** Touch claimed/<id>'s mtime (worker heartbeat). */
     void heartbeat(const std::string& id) const;
@@ -328,9 +326,10 @@ class Spool
     bool readJournal(std::string& out) const;
 
     /**
-     * Retry-wrapped atomic write of a spool-relative file
-     * (stats, worker health, result.json). `point` names the fault
-     * point for injection; may be null.
+     * Retry-wrapped atomic write of a spool-relative file (every
+     * spool write goes through here). The generic "spool.io.write"
+     * transient point guards each attempt; `point` names the
+     * commit's own fault point and may be null.
      */
     void writeFile(const std::string& relative, const std::string& text,
                    const char* point = nullptr);
@@ -395,19 +394,24 @@ class Spool
 };
 
 /**
- * Write `text` to `path` atomically: tmp file (suffixed with the pid
- * so concurrent writers never collide) + rename. `point` names the
- * fault-injection site guarding the commit (see fault_plan.h); null
- * disables per-site injection (the generic "spool.io.write" transient
- * point still applies). Throws TransientIoError on retryable errno
- * values, std::runtime_error otherwise.
+ * Write `text` to `path` atomically: a dot-prefixed tmp file in the
+ * same directory (pid-suffixed, so concurrent writers never collide)
+ * + rename. The one atomic write of the campaign layer: spool files,
+ * artifact-store blobs, checkpoints and result files all go through
+ * it. `point` names the fault-injection site guarding the commit
+ * (see fault_plan.h); null disables injection. Throws
+ * TransientIoError on retryable errno values, std::runtime_error
+ * otherwise.
  */
 void spoolWriteAtomic(const std::string& path, const std::string& text,
                       const char* point = nullptr);
 
+/** Move `dir`/`relative` to `dir`/quarantine/ (created if missing),
+ *  keeping its base name; false if it was not there. */
+bool moveToQuarantine(const std::string& dir, const std::string& relative);
+
 /** Read a whole file; throws TransientIoError on retryable errno
- *  values, std::runtime_error otherwise. `point` as above (generic
- *  point: "spool.io.read"). */
+ *  values, std::runtime_error otherwise. `point` as above. */
 std::string spoolReadFile(const std::string& path,
                           const char* point = nullptr);
 

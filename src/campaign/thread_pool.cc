@@ -1,6 +1,7 @@
 #include "campaign/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace cyclone {
 
@@ -10,12 +11,9 @@ thread_local int tls_worker_index = -1;
 
 ThreadPool::ThreadPool(size_t threads)
 {
-    size_t n = threads > 0
+    const size_t n = threads > 0
         ? threads
         : std::max<size_t>(1, std::thread::hardware_concurrency());
-    queues_.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     workers_.reserve(n);
     for (size_t i = 0; i < n; ++i)
         workers_.emplace_back(&ThreadPool::workerLoop, this, i);
@@ -25,7 +23,7 @@ ThreadPool::~ThreadPool()
 {
     waitIdle();
     {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
     wake_.notify_all();
@@ -42,91 +40,39 @@ ThreadPool::workerIndex()
 void
 ThreadPool::submit(std::function<void()> job)
 {
-    // Submit to our own deque when called from a worker, otherwise
-    // round-robin across workers so external batches spread out.
-    const int self = tls_worker_index;
-    const size_t target = self >= 0
-        ? static_cast<size_t>(self)
-        : nextQueue_.fetch_add(1, std::memory_order_relaxed) %
-              queues_.size();
-    pending_.fetch_add(1, std::memory_order_relaxed);
     {
-        std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-        queues_[target]->jobs.push_back(std::move(job));
-    }
-    // Touch the sleep mutex so a worker between its empty re-check and
-    // its wait cannot miss this notification.
-    {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
+        jobs_.push_back(std::move(job));
     }
     wake_.notify_one();
 }
 
-bool
-ThreadPool::tryPop(size_t self, std::function<void()>& job)
+void
+ThreadPool::waitIdle()
 {
-    // Own queue first, newest job (LIFO).
-    {
-        WorkerQueue& q = *queues_[self];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (!q.jobs.empty()) {
-            job = std::move(q.jobs.back());
-            q.jobs.pop_back();
-            return true;
-        }
-    }
-    // Steal the oldest job (FIFO) from the first non-empty victim.
-    for (size_t k = 1; k < queues_.size(); ++k) {
-        WorkerQueue& q = *queues_[(self + k) % queues_.size()];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (!q.jobs.empty()) {
-            job = std::move(q.jobs.front());
-            q.jobs.pop_front();
-            return true;
-        }
-    }
-    return false;
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_.wait(lock, [&] { return jobs_.empty() && running_ == 0; });
 }
 
 void
 ThreadPool::workerLoop(size_t self)
 {
     tls_worker_index = static_cast<int>(self);
-    std::function<void()> job;
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        if (tryPop(self, job)) {
-            job();
-            job = nullptr;
-            if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                std::lock_guard<std::mutex> lock(sleepMutex_);
-                idle_.notify_all();
-            }
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(sleepMutex_);
-        if (stop_)
-            return;
-        // Re-check under the lock: a submit may have raced the scan.
-        bool any = false;
-        for (auto& q : queues_) {
-            std::lock_guard<std::mutex> ql(q->mutex);
-            if (!q->jobs.empty()) {
-                any = true;
-                break;
-            }
-        }
-        if (!any)
-            wake_.wait(lock);
+        wake_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
+        if (jobs_.empty())
+            return; // stopping, and nothing left to run
+        std::function<void()> job = std::move(jobs_.back());
+        jobs_.pop_back();
+        ++running_;
+        lock.unlock();
+        job();
+        job = nullptr;
+        lock.lock();
+        if (--running_ == 0 && jobs_.empty())
+            idle_.notify_all();
     }
-}
-
-void
-ThreadPool::waitIdle()
-{
-    std::unique_lock<std::mutex> lock(sleepMutex_);
-    idle_.wait(lock, [&] {
-        return pending_.load(std::memory_order_acquire) == 0;
-    });
 }
 
 } // namespace cyclone

@@ -1,12 +1,12 @@
 /**
  * @file
- * Work-stealing thread pool shared by every campaign.
+ * The thread pool every campaign shares.
  *
- * Each worker owns a deque: it pushes and pops its own work LIFO (hot
- * caches) and steals FIFO from victims when empty (oldest work first,
- * which tends to be the largest remaining subtree). External threads
- * submit round-robin across worker deques so a campaign's chunk jobs
- * spread immediately even before stealing kicks in.
+ * A fixed set of workers drains one job queue, newest job first
+ * (oldest-first measured about 7% slower on perfbench ler_sweep).
+ * Campaign jobs are coarse — an artifact build, or a staging group of
+ * decodes lasting milliseconds — so one queue keeps every core busy
+ * without per-worker deques or stealing.
  *
  * The pool never executes jobs on the submitting thread; campaign
  * coordination stays on the caller while all sampling, compiling and
@@ -16,19 +16,17 @@
 #ifndef CYCLONE_CAMPAIGN_THREAD_POOL_H
 #define CYCLONE_CAMPAIGN_THREAD_POOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace cyclone {
 
-/** Fixed-size work-stealing pool. */
+/** Fixed-size pool over one newest-first job queue. */
 class ThreadPool
 {
   public:
@@ -59,24 +57,16 @@ class ThreadPool
     static int workerIndex();
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> jobs;
-    };
-
     void workerLoop(size_t self);
-    bool tryPop(size_t self, std::function<void()>& job);
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-
-    std::mutex sleepMutex_;
+    std::mutex mutex_;
     std::condition_variable wake_;
     std::condition_variable idle_;
-    std::atomic<size_t> pending_{0};
-    std::atomic<size_t> nextQueue_{0};
-    std::atomic<bool> stop_{false};
+    std::deque<std::function<void()>> jobs_;
+    /** Jobs popped but not finished. */
+    size_t running_ = 0;
+    bool stop_ = false;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace cyclone

@@ -88,11 +88,13 @@ target_rel_err = 0.3
 bp = minsum
 )";
 
-/** Fork `count` worker processes against `spool`. Children never
- *  return: they run the worker loop and _exit. */
+/** Fork `count` worker processes against `spool`, each with
+ *  `faultPlan` installed if given. Children never return: they run
+ *  the worker loop and _exit. */
 std::vector<pid_t>
 forkWorkers(const std::string& spool, size_t count,
-            double startDelaySeconds = 0.0, bool dieAfterClaim = false)
+            double startDelaySeconds = 0.0,
+            const char* faultPlan = nullptr)
 {
     std::vector<pid_t> pids;
     for (size_t w = 0; w < count; ++w) {
@@ -106,7 +108,8 @@ forkWorkers(const std::string& spool, size_t count,
             opts.threads = 2;
             opts.workerId = "w" + std::to_string(::getpid());
             opts.pollSeconds = 0.01;
-            opts.dieAfterClaim = dieAfterClaim;
+            if (faultPlan != nullptr)
+                installFaultPlan(FaultPlan::parse(faultPlan));
             int rc = 0;
             try {
                 runSpoolWorker(opts);
@@ -121,15 +124,13 @@ forkWorkers(const std::string& spool, size_t count,
 }
 
 void
-reapWorkers(const std::vector<pid_t>& pids, bool expectClean = true)
+reapWorkers(const std::vector<pid_t>& pids, int exitCode = 0)
 {
     for (const pid_t pid : pids) {
         int status = 0;
         ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-        if (expectClean) {
-            EXPECT_TRUE(WIFEXITED(status));
-            EXPECT_EQ(WEXITSTATUS(status), 0);
-        }
+        EXPECT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), exitCode);
     }
 }
 
@@ -166,18 +167,14 @@ TEST(SpoolSerde, ShardDescriptorRoundTrip)
     d.shard = 17;
     d.firstChunk = 42;
     d.numChunks = 6;
-    d.chunkShots = 128;
     d.contentHash = 0xdeadbeefcafef00dull;
-    d.taskSeed = 0x0123456789abcdefull;
     const ShardDescriptor r =
         parseShardDescriptor(formatShardDescriptor(d));
     EXPECT_EQ(r.task, d.task);
     EXPECT_EQ(r.shard, d.shard);
     EXPECT_EQ(r.firstChunk, d.firstChunk);
     EXPECT_EQ(r.numChunks, d.numChunks);
-    EXPECT_EQ(r.chunkShots, d.chunkShots);
     EXPECT_EQ(r.contentHash, d.contentHash);
-    EXPECT_EQ(r.taskSeed, d.taskSeed);
     EXPECT_THROW(parseShardDescriptor("garbage"), std::runtime_error);
     EXPECT_THROW(parseShardDescriptor("cyclone-shard v1\nshard 1 2\n"),
                  std::runtime_error);
@@ -287,6 +284,12 @@ TEST(SpoolSerde, StrictParsingRejectsMalformedDocuments)
     report.shots = 4200;
     report.cache.demMisses = 4;
 
+    ShardDescriptor descriptor;
+    descriptor.task = 1;
+    descriptor.shard = 2;
+    descriptor.numChunks = 4;
+    descriptor.contentHash = 0x00000000deadbeefull;
+
     struct Kind
     {
         const char* name;
@@ -300,6 +303,9 @@ TEST(SpoolSerde, StrictParsingRejectsMalformedDocuments)
         {"shard record", formatShardRecord(sampleRecord()), "shots",
          "content_hash", "cyclone-shard-result v2",
          [](const std::string& t) { parseShardRecord(t); }},
+        {"shard descriptor", formatShardDescriptor(descriptor),
+         "num_chunks", "content_hash", "cyclone-shard v2",
+         [](const std::string& t) { parseShardDescriptor(t); }},
         {"worker stats", formatWorkerStats(report), "shots", nullptr,
          "cyclone-worker-stats v1",
          [](const std::string& t) { parseWorkerStats(t); }},
@@ -460,9 +466,7 @@ TEST(SpoolProtocol, ClaimCompleteAndRecords)
     d.shard = 0;
     d.firstChunk = 0;
     d.numChunks = 4;
-    d.chunkShots = 100;
     d.contentHash = 0x42;
-    d.taskSeed = 0x99;
     EXPECT_TRUE(spool.publishShard(d));
     EXPECT_FALSE(spool.publishShard(d)) << "already open";
     ASSERT_EQ(spool.openShards().size(), 1u);
@@ -552,7 +556,6 @@ TEST(SpoolProtocol, QuarantineReviveAndRetire)
     d.task = 0;
     d.shard = 0;
     d.numChunks = 1;
-    d.chunkShots = 10;
     d.contentHash = 0x1;
     ASSERT_TRUE(spool.publishShard(d));
     const std::string id = shardId(0, 0);
@@ -626,7 +629,6 @@ TEST(SpoolProtocol, ClaimAgeSurvivesWallClockStep)
     d.task = 0;
     d.shard = 0;
     d.numChunks = 1;
-    d.chunkShots = 10;
     d.contentHash = 0x1;
     ASSERT_TRUE(spool.publishShard(d));
     const std::string id = shardId(0, 0);
@@ -986,11 +988,11 @@ TEST(DistributedCampaign, LeaseExpiryReclaimsKilledWorkersShard)
     dspec.spool = scratch.path;
     dspec.leaseSeconds = 0.5;
 
-    // Worker A claims the first shard it sees and dies without
-    // completing or heartbeating it. Worker B starts 2s later (after
+    // Worker A crashes right after its first claim, leaving it
+    // unfinished and unheartbeated. Worker B starts 2s later (after
     // A's lease lapsed) and drains the whole spool.
-    const std::vector<pid_t> dying =
-        forkWorkers(scratch.path, 1, 0.0, /*dieAfterClaim=*/true);
+    const std::vector<pid_t> dying = forkWorkers(
+        scratch.path, 1, 0.0, "spool.claim.commit:crash_after");
     const std::vector<pid_t> healthy =
         forkWorkers(scratch.path, 1, 2.0);
 
@@ -1004,7 +1006,7 @@ TEST(DistributedCampaign, LeaseExpiryReclaimsKilledWorkersShard)
             ::waitpid(pid, nullptr, 0);
         throw;
     }
-    reapWorkers(dying);
+    reapWorkers(dying, kFaultCrashExitCode);
     reapWorkers(healthy);
 
     EXPECT_GE(dist.spool.shardsReclaimed, 1u)
@@ -1121,6 +1123,55 @@ TEST(DistributedCampaign, SpoolResumeReusesRecords)
     EXPECT_EQ(third.spool.shardsPublished, 0u);
 }
 
+TEST(DistributedCampaign, FailingTaskMatchesInProcessRun)
+{
+    // A task whose build fails (per-qubit idle noise needs a compiled
+    // schedule, and arch = none has none) next to a good one: both
+    // transports must report the same error and shot counts, and the
+    // good task must not notice its neighbour.
+    const char* spec_text = R"(name = spool-failing
+seed = 17
+
+[task]
+id = broken
+code = surface3
+arch = none
+idle_noise = per-qubit
+p = 0.03
+max_shots = 200
+
+[task]
+id = good
+code = surface3
+arch = none
+p = 0.03
+chunk_shots = 50
+chunks_per_wave = 4
+max_shots = 400
+staging_chunks = 2
+)";
+    CampaignSpec spec = parseCampaignSpec(spec_text);
+    spec.threads = 2;
+    const CampaignResult local = runCampaign(spec);
+    ASSERT_EQ(local.tasks.size(), 2u);
+    EXPECT_NE(local.tasks[0].error.find("per-qubit idle noise"),
+              std::string::npos)
+        << local.tasks[0].error;
+    EXPECT_EQ(local.tasks[0].logicalErrorRate.trials, 0u);
+    EXPECT_TRUE(local.tasks[1].error.empty()) << local.tasks[1].error;
+    EXPECT_EQ(local.tasks[1].logicalErrorRate.trials, 400u);
+
+    ScratchDir scratch("spool-failing");
+    spec.spool = scratch.path;
+    CoordinatorOptions copts;
+    copts.selfExecute = true;
+    copts.threads = 2;
+    const CampaignResult dist =
+        runDistributedCampaign(spec, spec_text, nullptr, nullptr, copts);
+    expectTasksIdentical(local, dist);
+    EXPECT_GT(dist.spool.shardsMerged, 0u);
+}
+
 TEST(DistributedCampaign, StreamingTasksAreRejectedUpFront)
 {
     // The streaming decode service is in-process only for now: the
@@ -1168,8 +1219,8 @@ bp = minsum
     spec.leaseSeconds = 0.3;
     spec.maxClaimReclaims = 0;
 
-    const std::vector<pid_t> dying =
-        forkWorkers(scratch.path, 1, 0.0, /*dieAfterClaim=*/true);
+    const std::vector<pid_t> dying = forkWorkers(
+        scratch.path, 1, 0.0, "spool.claim.commit:crash_after");
     CampaignResult dist;
     try {
         dist = runDistributedCampaign(spec, spec_text);
@@ -1178,7 +1229,7 @@ bp = minsum
             ::waitpid(pid, nullptr, 0);
         throw;
     }
-    reapWorkers(dying);
+    reapWorkers(dying, kFaultCrashExitCode);
 
     EXPECT_EQ(dist.spool.shardsPoisoned, 1u);
     ASSERT_EQ(dist.tasks.size(), 1u);
