@@ -1,7 +1,6 @@
 #include "campaign/campaign.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -11,6 +10,7 @@
 #include "campaign/adaptive_sampler.h"
 #include "campaign/content_hash.h"
 #include "campaign/executor.h"
+#include "campaign/spool.h"
 #include "campaign/thread_pool.h"
 #include "circuit/memory_circuit.h"
 #include "dem/dem_builder.h"
@@ -51,14 +51,6 @@ taskContentHash(const ResolvedTask& rt)
     h.absorb(uint64_t{t.stop.minFailures});
     h.absorb(rt.taskSeed);
     return h.digest();
-}
-
-double
-elapsedSeconds(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - since)
-        .count();
 }
 
 /**
@@ -298,7 +290,7 @@ setShotCounts(TaskResult& r, size_t failures, size_t shots)
 GroupResult
 ChunkGroupRunner::run(const ChunkPlan* plans, size_t count)
 {
-    const auto c0 = std::chrono::steady_clock::now();
+    const double c0 = monotonicSeconds();
     const DetectorErrorModel& dem = *task_.dem;
     const int w = ThreadPool::workerIndex();
     std::unique_ptr<Worker>& worker =
@@ -330,7 +322,7 @@ ChunkGroupRunner::run(const ChunkPlan* plans, size_t count)
         for (const auto& c : BpOsdStats::kCounters)
             g.decoder.*c.member = after.*c.member - before.*c.member;
     }
-    g.seconds = elapsedSeconds(c0);
+    g.seconds = monotonicSeconds() - c0;
     return g;
 }
 
@@ -471,7 +463,7 @@ CampaignEngine::run(const CampaignSpec& spec,
                     const CampaignCheckpoint* resume,
                     const TaskCallback& onTaskDone)
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = monotonicSeconds();
     const CacheStats before = cache_.stats();
     // Resolves identities up front on the coordinator: cheap, and bad
     // specs fail before any job launches.
@@ -537,7 +529,7 @@ CampaignEngine::run(const CampaignSpec& spec,
     const CacheStats after = cache_.stats();
     for (const auto& c : CacheStats::kCounters)
         result.cache.*c.member = after.*c.member - before.*c.member;
-    result.wallSeconds = elapsedSeconds(t0);
+    result.wallSeconds = monotonicSeconds() - t0;
     return result;
 }
 

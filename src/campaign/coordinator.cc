@@ -1,7 +1,6 @@
 #include "campaign/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -85,17 +84,16 @@ executeShard(Spool& spool, const std::string& id, const ShardDescriptor& d,
     rec.shard = d.shard;
     rec.contentHash = d.contentHash;
     std::string error;
-    const std::chrono::duration<double> beat(
-        std::min(0.05, leaseSeconds / 8.0));
-    auto lastBeat = std::chrono::steady_clock::now();
+    const double beat = std::min(0.05, leaseSeconds / 8.0);
+    double lastBeat = monotonicSeconds();
     for (size_t merged = 0; merged < groups;) {
         GroupResult r;
         const bool finished = done.pop(r, beat);
-        if (std::chrono::steady_clock::now() - lastBeat >= beat) {
+        if (monotonicSeconds() - lastBeat >= beat) {
             spool.heartbeat(id);
             if (extraHeartbeat)
                 extraHeartbeat();
-            lastBeat = std::chrono::steady_clock::now();
+            lastBeat = monotonicSeconds();
         }
         if (!finished)
             continue;
@@ -152,7 +150,7 @@ runDistributedCampaign(const CampaignSpec& spec,
 
     maybeInstallSpecFaultPlan(spec);
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = monotonicSeconds();
     // Resolving first fails a bad spec before any spool state exists.
     WaveExecutor ex(spec, resume, onTaskDone);
     CampaignResult& result = ex.result;
@@ -442,10 +440,7 @@ runDistributedCampaign(const CampaignSpec& spec,
 
     result.cache = cache.stats();
     result.spool.transientRetries = spool.transientRetries();
-    result.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    result.wallSeconds = monotonicSeconds() - t0;
 
     WorkerReport coordStats;
     coordStats.cache = result.cache;
@@ -530,12 +525,6 @@ runSpoolWorker(const WorkerOptions& opts)
 
     // Promotion bookkeeping: how long the coordinator lease has
     // looked dead (stale or absent) from this worker's seat.
-    const auto steadyNow = [] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now()
-                       .time_since_epoch())
-            .count();
-    };
     double leaseAbsentSince = -1.0;
 
     while (!spool.done()) {
@@ -582,7 +571,7 @@ runSpoolWorker(const WorkerOptions& opts)
             bool coordinatorDead = false;
             if (opts.promote) {
                 if (!spool.hasCoordinatorLease()) {
-                    const double now = steadyNow();
+                    const double now = monotonicSeconds();
                     if (leaseAbsentSince < 0.0)
                         leaseAbsentSince = now;
                     coordinatorDead = now - leaseAbsentSince >

@@ -105,11 +105,12 @@ class CompletionQueue
         return item;
     }
 
-    /** Wait up to `timeout` for the next item; false if none came. */
-    bool pop(T& out, std::chrono::duration<double> timeout)
+    /** Wait up to `seconds` for the next item; false if none came. */
+    bool pop(T& out, double seconds)
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        if (!cv_.wait_for(lock, timeout, [&] { return !items_.empty(); }))
+        if (!cv_.wait_for(lock, std::chrono::duration<double>(seconds),
+                          [&] { return !items_.empty(); }))
             return false;
         out = std::move(items_.front());
         items_.pop_front();

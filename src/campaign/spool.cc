@@ -90,6 +90,8 @@ fileExists(const std::string& path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
+} // namespace
+
 double
 monotonicSeconds()
 {
@@ -98,8 +100,6 @@ monotonicSeconds()
     return static_cast<double>(ts.tv_sec) +
            static_cast<double>(ts.tv_nsec) * 1e-9;
 }
-
-} // namespace
 
 bool
 moveToQuarantine(const std::string& dir, const std::string& relative)

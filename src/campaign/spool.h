@@ -406,6 +406,9 @@ class Spool
 void spoolWriteAtomic(const std::string& path, const std::string& text,
                       const char* point = nullptr);
 
+/** Seconds on CLOCK_MONOTONIC, the clock of every spool age. */
+double monotonicSeconds();
+
 /** Move `dir`/`relative` to `dir`/quarantine/ (created if missing),
  *  keeping its base name; false if it was not there. */
 bool moveToQuarantine(const std::string& dir, const std::string& relative);

@@ -14,6 +14,7 @@ ThreadPool::ThreadPool(size_t threads)
     const size_t n = threads > 0
         ? threads
         : std::max<size_t>(1, std::thread::hardware_concurrency());
+    queues_.resize(n);
     workers_.reserve(n);
     for (size_t i = 0; i < n; ++i)
         workers_.emplace_back(&ThreadPool::workerLoop, this, i);
@@ -42,7 +43,11 @@ ThreadPool::submit(std::function<void()> job)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        jobs_.push_back(std::move(job));
+        const int self = tls_worker_index;
+        const size_t q = self >= 0 ? static_cast<size_t>(self)
+                                   : nextQueue_++ % queues_.size();
+        queues_[q].push_back(std::move(job));
+        ++queued_;
     }
     wake_.notify_one();
 }
@@ -51,7 +56,7 @@ void
 ThreadPool::waitIdle()
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    idle_.wait(lock, [&] { return jobs_.empty() && running_ == 0; });
+    idle_.wait(lock, [&] { return queued_ == 0 && running_ == 0; });
 }
 
 void
@@ -60,17 +65,26 @@ ThreadPool::workerLoop(size_t self)
     tls_worker_index = static_cast<int>(self);
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        wake_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
-        if (jobs_.empty())
+        wake_.wait(lock, [&] { return stop_ || queued_ > 0; });
+        if (queued_ == 0)
             return; // stopping, and nothing left to run
-        std::function<void()> job = std::move(jobs_.back());
-        jobs_.pop_back();
+        // Own newest job, else the oldest of the next non-empty deque.
+        size_t q = self;
+        while (queues_[q].empty())
+            q = (q + 1) % queues_.size();
+        std::function<void()> job =
+            std::move(q == self ? queues_[q].back() : queues_[q].front());
+        if (q == self)
+            queues_[q].pop_back();
+        else
+            queues_[q].pop_front();
+        --queued_;
         ++running_;
         lock.unlock();
         job();
         job = nullptr;
         lock.lock();
-        if (--running_ == 0 && jobs_.empty())
+        if (--running_ == 0 && queued_ == 0)
             idle_.notify_all();
     }
 }

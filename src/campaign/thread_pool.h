@@ -2,11 +2,12 @@
  * @file
  * The thread pool every campaign shares.
  *
- * A fixed set of workers drains one job queue, newest job first
- * (oldest-first measured about 7% slower on perfbench ler_sweep).
- * Campaign jobs are coarse — an artifact build, or a staging group of
- * decodes lasting milliseconds — so one queue keeps every core busy
- * without per-worker deques or stealing.
+ * Each worker owns a deque: jobs from outside the pool are dealt to
+ * the deques in turn, a worker's own jobs go to its deque, and a worker
+ * runs its newest job or else steals the oldest from the next deque.
+ * Dealing keeps each worker's share of a wave even whatever order its
+ * jobs arrive in; one shared newest-first queue left a worker idle for
+ * a wider, order-dependent tail of each perfbench ler_sweep pass.
  *
  * The pool never executes jobs on the submitting thread; campaign
  * coordination stays on the caller while all sampling, compiling and
@@ -26,7 +27,7 @@
 
 namespace cyclone {
 
-/** Fixed-size pool over one newest-first job queue. */
+/** Fixed-size pool of per-worker deques with stealing. */
 class ThreadPool
 {
   public:
@@ -62,8 +63,11 @@ class ThreadPool
     std::mutex mutex_;
     std::condition_variable wake_;
     std::condition_variable idle_;
-    std::deque<std::function<void()>> jobs_;
-    /** Jobs popped but not finished. */
+    std::vector<std::deque<std::function<void()>>> queues_;
+    /** Deque of the next job submitted from outside the pool. */
+    size_t nextQueue_ = 0;
+    /** Jobs in the deques, and jobs popped but not finished. */
+    size_t queued_ = 0;
     size_t running_ = 0;
     bool stop_ = false;
     std::vector<std::thread> workers_;
